@@ -17,11 +17,11 @@ import os
 import sys
 from pathlib import Path
 
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, warn
 from .facts import FactSyntaxError, KnowledgeStore, merge_stores, parse_fact_path
 from .fuzz import random_store
 from .graph import GraphCycleError, UnknownNodeError, rooted_subgraph
-from .linking import synthesize_super_event
+from .linking import ChainError, synthesize_super_event
 from .oracle import differential_check, encode_program
 from .pipeline import PipelineResult, run_pipeline
 from .queries import QueryError, how_occurs, how_produces, how_related, why_important
@@ -88,11 +88,16 @@ def _cmd_link(args) -> int:
     result = _run(args)
     patches = []
     for chain in result.chains:
+        try:
+            facts = synthesize_super_event(result.store, chain)
+        except ChainError as exc:
+            _emit_diagnostics([warn("link-chain-skipped", str(exc))])
+            continue
         patches.append(
             {
                 "facts": [
                     {"subject": f.subject, "slot": f.slot, "value": f.value}
-                    for f in synthesize_super_event(result.store, chain)
+                    for f in facts
                 ],
             }
         )

@@ -162,12 +162,6 @@ class KnowledgeStore:
     def subjects(self, slot: str, value: str) -> list[str]:
         return [f.subject for f in self.query(slot=slot, value=value)]
 
-    def identifiers(self) -> set[str]:
-        """Every identifier appearing as a subject or value."""
-        ids = set(self._by_subject)
-        ids.update(self._by_value)
-        return ids
-
     def copy(self) -> "KnowledgeStore":
         return KnowledgeStore(self._facts.values())
 

@@ -9,11 +9,19 @@ Edges fall into five families by slot name; ``base`` and ``object`` ride
 along as participant-role edges so IO reasoning can see them.  Slots that
 are neither family slots nor declared auxiliary relations produce
 diagnostics instead of edges.
+
+Every engine walk over a graph or a relation goes through two helpers:
+:func:`adjacency` groups a graph's edges by source in sorted-edge order,
+and :func:`depth_first` walks any successor map iteratively, returning
+the post-order and, on a back edge, a witness cycle.  The rule-program
+oracle (:mod:`kdgraph.oracle`) must not use either: the differential
+check means something only while the engine and the oracle share no code.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -115,7 +123,7 @@ ACYCLIC_FAMILIES = frozenset(
     {EdgeFamily.COMPOSITIONAL, EdgeFamily.LOCATIONAL, EdgeFamily.PARTICIPANT}
 )
 
-_DOT_SHAPES = {
+DOT_SHAPES = {
     NodeKind.EVENT: "rectangle",
     NodeKind.ENTITY: "ellipse",
     NodeKind.CLASS: "hexagon",
@@ -162,24 +170,15 @@ class DescriptionGraph:
             and self.edges == other.edges
         )
 
-    def has_node(self, node: str) -> bool:
-        return node in self.nodes
-
     def kind(self, node: str) -> NodeKind:
         return self.nodes[node]
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges, key=Edge.key)
 
-    def out_edges(self, node: str) -> list[Edge]:
-        return sorted((e for e in self.edges if e.source == node), key=Edge.key)
-
-    def in_edges(self, node: str) -> list[Edge]:
-        return sorted((e for e in self.edges if e.target == node), key=Edge.key)
-
-    def to_json(self) -> str:
-        payload = {
-            "variant": self.variant,
+    def json_payload(self) -> dict:
+        """Node and edge rows, shared by graph and answer JSON."""
+        return {
             "nodes": [
                 {"id": n, "kind": k.value} for n, k in sorted(self.nodes.items())
             ],
@@ -193,12 +192,15 @@ class DescriptionGraph:
                 for e in self.sorted_edges()
             ],
         }
+
+    def to_json(self) -> str:
+        payload = {"variant": self.variant, **self.json_payload()}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def to_dot(self, name: str = "kdg") -> str:
         lines = [f"digraph {name} {{"]
         for node, kind in sorted(self.nodes.items()):
-            lines.append(f'  "{node}" [shape={_DOT_SHAPES[kind]}];')
+            lines.append(f'  "{node}" [shape={DOT_SHAPES[kind]}];')
         for edge in self.sorted_edges():
             style = ' style=dashed' if edge.family is EdgeFamily.ORDERING else ""
             lines.append(f'  "{edge.source}" -> "{edge.target}" [label="{edge.slot}"{style}];')
@@ -244,34 +246,53 @@ def build_udg(store: KnowledgeStore) -> DescriptionGraph:
     return graph
 
 
-def _find_structural_cycle(graph: DescriptionGraph) -> list[str] | None:
-    adjacency: dict[str, list[str]] = {}
-    for edge in graph.sorted_edges():
-        if edge.family in ACYCLIC_FAMILIES:
-            adjacency.setdefault(edge.source, []).append(edge.target)
-    color: dict[str, int] = {}
+def adjacency(
+    graph: DescriptionGraph, families: Iterable[EdgeFamily]
+) -> dict[str, list[Edge]]:
+    """Edges of the given families grouped by source, in sorted-edge order."""
+    families = frozenset(families)
+    out: dict[str, list[Edge]] = {}
+    for edge in sorted((e for e in graph.edges if e.family in families), key=Edge.key):
+        out.setdefault(edge.source, []).append(edge)
+    return out
+
+
+def depth_first(
+    successors: Mapping[str, Iterable[str]], starts: Iterable[str]
+) -> tuple[list[str], list[str] | None]:
+    """Iterative depth-first walk from each not yet visited start.
+
+    Starts and successors are visited in the order given.  Returns the
+    post-order of the nodes finished and, when a back edge to a node ``n``
+    on the current trail is met, the walk stops there with the witness
+    cycle ``[n, ..., n]``; otherwise the cycle is ``None``.
+    """
+    post_order: list[str] = []
+    finished: dict[str, bool] = {}  # False while on the trail
     trail: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = 1
-        trail.append(node)
-        for nxt in adjacency.get(node, ()):
-            if color.get(nxt, 0) == 1:
-                return trail[trail.index(nxt):] + [nxt]
-            if color.get(nxt, 0) == 0:
-                found = visit(nxt)
-                if found:
-                    return found
-        trail.pop()
-        color[node] = 2
-        return None
-
-    for start in sorted(adjacency):
-        if color.get(start, 0) == 0:
-            found = visit(start)
-            if found:
-                return found
-    return None
+    pending: list[Iterator[str]] = []  # successors left, parallel to ``trail``
+    for start in starts:
+        if start in finished:
+            continue
+        finished[start] = False
+        trail.append(start)
+        pending.append(iter(successors.get(start, ())))
+        while pending:
+            for nxt in pending[-1]:
+                state = finished.get(nxt)
+                if state is None:
+                    finished[nxt] = False
+                    trail.append(nxt)
+                    pending.append(iter(successors.get(nxt, ())))
+                    break
+                if state is False:
+                    return post_order, trail[trail.index(nxt):] + [nxt]
+            else:
+                pending.pop()
+                node = trail.pop()
+                finished[node] = True
+                post_order.append(node)
+    return post_order, None
 
 
 def build_kdg(udg: DescriptionGraph, typing: dict[str, NodeKind]) -> DescriptionGraph:
@@ -305,7 +326,11 @@ def build_kdg(udg: DescriptionGraph, typing: dict[str, NodeKind]) -> Description
             )
             continue
         graph.edges.add(edge)
-    cycle = _find_structural_cycle(graph)
+    successors = {
+        source: [e.target for e in edges]
+        for source, edges in adjacency(graph, ACYCLIC_FAMILIES).items()
+    }
+    _, cycle = depth_first(successors, sorted(successors))
     if cycle:
         raise GraphCycleError(cycle)
     return graph
@@ -320,18 +345,15 @@ def rooted_subgraph(graph: DescriptionGraph, root: str) -> DescriptionGraph:
     """
     if root not in graph.nodes:
         raise UnknownNodeError(root)
-    adjacency: dict[str, list[str]] = {}
-    for edge in graph.sorted_edges():
-        if edge.family in ROOTED_TRAVERSAL:
-            adjacency.setdefault(edge.source, []).append(edge.target)
+    out_edges = adjacency(graph, ROOTED_TRAVERSAL)
     reached = {root}
     frontier = [root]
     while frontier:
         node = frontier.pop()
-        for nxt in adjacency.get(node, ()):
-            if nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
+        for edge in out_edges.get(node, ()):
+            if edge.target not in reached:
+                reached.add(edge.target)
+                frontier.append(edge.target)
     sub = DescriptionGraph(variant=graph.variant)
     sub.nodes = {n: k for n, k in graph.nodes.items() if n in reached}
     sub.edges = {

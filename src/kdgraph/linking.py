@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, warn
 from .facts import Fact, KnowledgeStore, Provenance
-from .graph import GraphCycleError
+from .graph import GraphCycleError, depth_first
 from .resolution import Confidence, MatchSet
 
 EXCLUSION_REASONS = {
@@ -88,30 +88,19 @@ def filter_joins(atoms: list[JoinAtom], minimum: Confidence) -> list[JoinAtom]:
 def subevent_closure(store: KnowledgeStore) -> set[tuple[str, str]]:
     """Transitive closure of the subevent relation; cycles are errors."""
     children: dict[str, list[str]] = {}
-    for fact in store.query(slot="subevent"):
+    for fact in store.query(slot="subevent"):  # sorted, so children are too
         children.setdefault(fact.subject, []).append(fact.value)
+    post_order, cycle = depth_first(children, sorted(children))
+    if cycle:
+        raise GraphCycleError(cycle)
+    # Post-order finishes every child before its parent.
     closure: dict[str, set[str]] = {}
-    color: dict[str, int] = {}
-    trail: list[str] = []
-
-    def visit(node: str):
-        if color.get(node, 0) == 2:
-            return
-        if color.get(node, 0) == 1:
-            raise GraphCycleError(trail[trail.index(node):] + [node])
-        color[node] = 1
-        trail.append(node)
+    for node in post_order:
         reachable: set[str] = set()
-        for child in sorted(children.get(node, ())):
-            visit(child)
+        for child in children.get(node, ()):
             reachable.add(child)
-            reachable |= closure.get(child, set())
-        trail.pop()
-        color[node] = 2
+            reachable |= closure[child]
         closure[node] = reachable
-
-    for node in sorted(children):
-        visit(node)
     return {(anc, desc) for anc, descs in closure.items() for desc in descs}
 
 

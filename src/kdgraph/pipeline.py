@@ -84,7 +84,6 @@ def run_pipeline(
     derive_next_events(store)
     derive_first_last_subevents(store, diagnostics)
     kinds = classify_event_kind(store, hierarchy)
-    io_relations = derive_io_relations(store, kinds)
     propagate_io(store, kinds)
     default_output_location(store)
     io_relations = derive_io_relations(store, kinds)

@@ -13,7 +13,15 @@ import json
 from dataclasses import dataclass, field
 
 from .facts import KnowledgeStore
-from .graph import DescriptionGraph, Edge, EdgeFamily, NodeKind, rooted_subgraph
+from .graph import (
+    DOT_SHAPES,
+    DescriptionGraph,
+    Edge,
+    EdgeFamily,
+    NodeKind,
+    adjacency,
+    rooted_subgraph,
+)
 from .resolution import MatchSet
 
 DEFAULT_PATH_CAP = 8
@@ -48,13 +56,7 @@ class AnswerStructure:
             "answered": self.answered,
             "reason": self.reason,
             "notes": self.notes,
-            "nodes": [
-                {"id": n, "kind": k.value} for n, k in sorted(self.graph.nodes.items())
-            ],
-            "edges": [
-                {"from": e.source, "slot": e.slot, "to": e.target, "family": e.family.value}
-                for e in self.graph.sorted_edges()
-            ],
+            **self.graph.json_payload(),
             "annotations": [
                 {"from": a.source, "slot": a.slot, "to": a.target, "role": a.role}
                 for a in sorted(
@@ -73,16 +75,10 @@ class AnswerStructure:
         tagged = {
             (a.source, a.slot, a.target): a.role for a in self.annotations
         }
-        shapes = {
-            NodeKind.EVENT: "rectangle",
-            NodeKind.ENTITY: "ellipse",
-            NodeKind.CLASS: "hexagon",
-            NodeKind.UNTYPED: "plaintext",
-        }
         lines = [f"digraph {self.pattern.replace('-', '_')} {{"]
         for node, kind in sorted(self.graph.nodes.items()):
             peripheries = ' peripheries=2' if node in self.focus else ""
-            lines.append(f'  "{node}" [shape={shapes[kind]}{peripheries}];')
+            lines.append(f'  "{node}" [shape={DOT_SHAPES[kind]}{peripheries}];')
         rendered = set()
         for edge in self.graph.sorted_edges():
             key = (edge.source, edge.slot, edge.target)
@@ -123,7 +119,8 @@ def how_occurs(kdg: DescriptionGraph, event: str) -> AnswerStructure:
         raise QueryError(f"{event} is not an event node")
     answer_graph = rooted_subgraph(kdg, event)
     annotations = []
-    for edge in kdg.sorted_edges():
+    # Unsorted scan: answers sort their annotations when rendered.
+    for edge in kdg.edges:
         if edge.family is not EdgeFamily.ORDERING:
             continue
         if event not in (edge.source, edge.target):
@@ -175,14 +172,6 @@ def how_produces(
     return answer
 
 
-def _component_parents(kdg: DescriptionGraph) -> dict[str, list[str]]:
-    parents: dict[str, list[str]] = {}
-    for edge in kdg.sorted_edges():
-        if edge.family is EdgeFamily.COMPOSITIONAL:
-            parents.setdefault(edge.target, []).append(edge.source)
-    return parents
-
-
 def _ancestors_or_self(node: str, parents: dict[str, list[str]]) -> set[str]:
     seen = {node}
     frontier = [node]
@@ -195,14 +184,10 @@ def _ancestors_or_self(node: str, parents: dict[str, list[str]]) -> set[str]:
     return seen
 
 
-def _component_path(kdg: DescriptionGraph, top: str, bottom: str) -> list[Edge]:
+def _component_path(children: dict[str, list[Edge]], top: str, bottom: str) -> list[Edge]:
     """Shortest compositional path from ``top`` down to ``bottom``."""
     if top == bottom:
         return []
-    children: dict[str, list[Edge]] = {}
-    for edge in kdg.sorted_edges():
-        if edge.family is EdgeFamily.COMPOSITIONAL:
-            children.setdefault(edge.source, []).append(edge)
     back: dict[str, Edge] = {}
     frontier = [top]
     seen = {top}
@@ -227,16 +212,12 @@ def _component_path(kdg: DescriptionGraph, top: str, bottom: str) -> list[Edge]:
 
 
 def _ordering_paths(
-    kdg: DescriptionGraph,
+    successors: dict[str, list[Edge]],
     origins: set[str],
     goals: set[str],
     cap: int,
 ) -> list[list[Edge]]:
     """Simple directed ordering-edge paths from an origin to a goal."""
-    successors: dict[str, list[Edge]] = {}
-    for edge in kdg.sorted_edges():
-        if edge.family is EdgeFamily.ORDERING:
-            successors.setdefault(edge.source, []).append(edge)
     paths: list[list[Edge]] = []
 
     def walk(node: str, trail: list[Edge], visited: set[str]):
@@ -265,17 +246,17 @@ def how_related(
     for node in (x, y):
         if node not in kdg.nodes:
             raise QueryError(f"unknown node: {node}")
-    parents = _component_parents(kdg)
+    children = adjacency(kdg, [EdgeFamily.COMPOSITIONAL])
+    parents: dict[str, list[str]] = {}
+    for edges in children.values():
+        for edge in edges:
+            parents.setdefault(edge.target, []).append(edge.source)
     common = _ancestors_or_self(x, parents) & _ancestors_or_self(y, parents)
     if not common:
         return _no_answer("how-related", [x, y], f"{x} and {y} share no containing node")
-    # Keep the lowest common ancestors: those with no common ancestor below.
-    lowest = sorted(
-        z for z in common
-        if not any(
-            w != z and z in _ancestors_or_self(w, parents) for w in common
-        )
-    )
+    # Keep the lowest common ancestors: those above no other common ancestor.
+    above_common = set().union(*(_ancestors_or_self(w, parents) - {w} for w in common))
+    lowest = sorted(common - above_common)
     answer_graph = DescriptionGraph(variant=kdg.variant)
     annotations: list[EdgeAnnotation] = []
 
@@ -292,16 +273,15 @@ def how_related(
     for ancestor in lowest:
         answer_graph.nodes.setdefault(ancestor, kdg.kind(ancestor))
         for target, bucket in ((x, x_nodes), (y, y_nodes)):
-            path = _component_path(kdg, ancestor, target)
+            path = _component_path(children, ancestor, target)
             for edge in path:
                 include(edge, "component-path")
                 bucket.update((edge.source, edge.target))
-    for path in _ordering_paths(kdg, x_nodes, y_nodes, ordering_path_cap):
-        for edge in path:
-            include(edge, "ordering-path")
-    for path in _ordering_paths(kdg, y_nodes, x_nodes, ordering_path_cap):
-        for edge in path:
-            include(edge, "ordering-path")
+    successors = adjacency(kdg, [EdgeFamily.ORDERING])
+    for origins, goals in ((x_nodes, y_nodes), (y_nodes, x_nodes)):
+        for path in _ordering_paths(successors, origins, goals, ordering_path_cap):
+            for edge in path:
+                include(edge, "ordering-path")
     return AnswerStructure(
         pattern="how-related",
         focus=[x, y],

@@ -114,10 +114,6 @@ class MatchSet:
         right = self.witness_chain(mid, target, conf2)
         return left + right[1:]
 
-    def witness_rule(self, source: str, target: str, conf: Confidence) -> str:
-        how = self._witness[(source, target, conf)]
-        return how[1] if how[0] == "base" else "chain"
-
     def report(self) -> list[dict]:
         rows = []
         for atom in self.best_atoms():

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, warn
 from .facts import KnowledgeStore
+from .graph import depth_first
 
 GENERAL_CLASSES = frozenset(
     {"thing", "event", "entity", "spatial_entity", "tangible_entity", "chemical_entity"}
@@ -51,31 +52,17 @@ class ClassHierarchy:
         )
 
     def _close(self):
-        # DFS with an explicit trail so cycle errors can name the cycle.
-        done: dict[str, frozenset[str]] = {}
-        in_progress: set[str] = set()
-        trail: list[str] = []
-
-        def visit(cls: str):
-            if cls in done:
-                return
-            in_progress.add(cls)
-            trail.append(cls)
+        parents = {cls: sorted(ps) for cls, ps in self.parents.items()}
+        post_order, cycle = depth_first(parents, sorted(parents))
+        if cycle:
+            raise HierarchyCycleError(cycle)
+        # Post-order finishes every parent before its children.
+        for cls in post_order:
             acc: set[str] = set()
-            for parent in sorted(self.parents.get(cls, ())):
-                if parent in in_progress:
-                    start = trail.index(parent)
-                    raise HierarchyCycleError(trail[start:] + [parent])
-                visit(parent)
+            for parent in parents.get(cls, ()):
                 acc.add(parent)
-                acc |= done[parent]
-            in_progress.discard(cls)
-            trail.pop()
-            done[cls] = frozenset(acc)
-
-        for cls in sorted(self.parents):
-            visit(cls)
-        self._ancestors = done
+                acc |= self._ancestors[parent]
+            self._ancestors[cls] = frozenset(acc)
 
     def ancestors(self, cls: str) -> frozenset[str]:
         """All classes strictly above ``cls``; empty for unknown classes."""
@@ -87,11 +74,6 @@ class ClassHierarchy:
     def descends_from(self, cls: str, root: str) -> bool:
         """True when ``cls`` is ``root`` itself or lies below it."""
         return cls == root or root in self.ancestors(cls)
-
-    def closure_pairs(self) -> set[tuple[str, str]]:
-        return {
-            (cls, anc) for cls, ancs in self._ancestors.items() for anc in ancs
-        }
 
 
 def ancestor_classes(hierarchy: ClassHierarchy, cls: str) -> set[str]:

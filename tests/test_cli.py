@@ -157,6 +157,34 @@ class TestLink:
         text = patch.read_text()
         assert "has(super_synthesis_of_rna_in_eukaryote_eukaryotic_translation, subevent, eukaryotic_translation)." in text
 
+    def test_chain_with_shared_parent_is_skipped(self, capsys, tmp_path):
+        # a and c are subevents of p; b outside p links them into the
+        # chain [a, b, c], which cannot be folded under a new parent.
+        kb = tmp_path / "kb.facts"
+        kb.write_text(
+            "".join(f"has({e}, instance_of, event).\n" for e in "pzabcy")
+            + "".join(f"has(p, subevent, {e}).\n" for e in "zacy")
+            + "has(z, enables, a).\nhas(a, enables, c).\nhas(c, enables, y).\n"
+            "has(a, result, m1).\nhas(b, raw_material, m2).\n"
+            "has(b, result, n1).\nhas(c, raw_material, n2).\n"
+            "has(m1, instance_of, molecule).\nhas(m2, instance_of, molecule).\n"
+            "has(n1, instance_of, protein).\nhas(n2, instance_of, protein).\n"
+            + "".join(
+                f"has({e}, site, s{e}).\nhas(s{e}, instance_of, compartment).\n"
+                for e in "abc"
+            )
+            + "has(compartment, superclass, spatial_entity).\n"
+        )
+        patch = tmp_path / "super.facts"
+        code, out, err = _run(capsys, "link", str(kb), "--patch", str(patch))
+        assert code == 0
+        assert err == "WARNING link-chain-skipped a and c already share a parent event\n"
+        payload = json.loads(out)
+        assert payload["chains"] == [["a", "b", "c"]]
+        assert payload["possible_next_events"] == [["a", "b"], ["b", "c"]]
+        assert payload["super_events"] == []
+        assert patch.read_text() == ""
+
     def test_min_confidence_threshold(self, capsys, fixtures_dir):
         code, out, _ = _run(
             capsys,

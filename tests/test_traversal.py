@@ -1,0 +1,91 @@
+"""The shared traversal layer: adjacency grouping, the iterative DFS, and
+the walks routed through it on inputs deeper than the recursion limit."""
+
+import sys
+
+from kdgraph.facts import Fact, KnowledgeStore, Provenance
+from kdgraph.graph import (
+    DescriptionGraph,
+    Edge,
+    EdgeFamily,
+    NodeKind,
+    adjacency,
+    build_kdg,
+    depth_first,
+)
+from kdgraph.linking import subevent_closure
+from kdgraph.taxonomy import ClassHierarchy
+
+
+def _chain(length: int) -> list[str]:
+    return [f"n{i:05d}" for i in range(length)]
+
+
+DEEP = sys.getrecursionlimit() + 100
+
+
+class TestAdjacency:
+    def test_groups_by_source_in_sorted_edge_order(self):
+        graph = DescriptionGraph("kdg")
+        graph.edges = {
+            Edge("b", "subevent", "c", EdgeFamily.COMPOSITIONAL),
+            Edge("a", "subevent", "c", EdgeFamily.COMPOSITIONAL),
+            Edge("a", "first_subevent", "d", EdgeFamily.COMPOSITIONAL),
+            Edge("a", "enables", "b", EdgeFamily.ORDERING),
+        }
+        grouped = adjacency(graph, [EdgeFamily.COMPOSITIONAL])
+        assert list(grouped) == ["a", "b"]
+        assert [e.key() for e in grouped["a"]] == [
+            ("a", "first_subevent", "d"),
+            ("a", "subevent", "c"),
+        ]
+        assert adjacency(graph, [EdgeFamily.ORDERING]) == {
+            "a": [Edge("a", "enables", "b", EdgeFamily.ORDERING)]
+        }
+
+
+class TestDepthFirst:
+    def test_post_order_follows_given_order(self):
+        successors = {"a": ["c", "b"], "b": ["d"], "c": ["d"]}
+        assert depth_first(successors, ["a", "d"]) == (["d", "c", "b", "a"], None)
+
+    def test_back_edge_stops_with_witness(self):
+        successors = {"a": ["b"], "b": ["e", "d"], "d": ["c"], "c": ["b"]}
+        post_order, cycle = depth_first(successors, ["a"])
+        assert post_order == ["e"]
+        assert cycle == ["b", "d", "c", "b"]
+
+    def test_self_loop(self):
+        assert depth_first({"a": ["a"]}, ["a"]) == ([], ["a", "a"])
+
+    def test_cross_edge_is_not_a_cycle(self):
+        successors = {"a": ["b"], "c": ["b"]}
+        assert depth_first(successors, ["a", "c"]) == (["b", "a", "c"], None)
+
+
+class TestDeepInputs:
+    def test_has_part_chain_builds(self):
+        names = _chain(DEEP)
+        udg = DescriptionGraph("udg", nodes=dict.fromkeys(names, NodeKind.UNTYPED))
+        udg.edges = {
+            Edge(a, "has_part", b, EdgeFamily.COMPOSITIONAL)
+            for a, b in zip(names, names[1:])
+        }
+        kdg = build_kdg(udg, dict.fromkeys(names, NodeKind.ENTITY))
+        assert len(kdg.edges) == DEEP - 1
+
+    def test_superclass_chain_closes(self):
+        names = _chain(DEEP)
+        hierarchy = ClassHierarchy.from_edges(list(zip(names, names[1:])))
+        assert len(hierarchy.ancestors(names[0])) == DEEP - 1
+        assert hierarchy.ancestors(names[-1]) == frozenset()
+
+    def test_subevent_chain_closes(self):
+        names = _chain(DEEP)
+        provenance = Provenance.asserted("deep.facts", 1)
+        store = KnowledgeStore(
+            Fact(a, "subevent", b, provenance) for a, b in zip(names, names[1:])
+        )
+        closure = subevent_closure(store)
+        assert len(closure) == DEEP * (DEEP - 1) // 2
+        assert (names[0], names[-1]) in closure
