@@ -158,19 +158,19 @@ def extract_chains(
             )
 
     chains: list[list[str]] = []
-
-    def walk(path: list[str]):
-        nexts = [n for n in successors.get(path[-1], ()) if n not in path]
-        if not nexts:
-            if len(path) >= 2:
-                chains.append(list(path))
-            return
-        for nxt in nexts:
-            walk(path + [nxt])
-
     sources = sorted(n for n in nodes if n not in has_incoming)
     for source in sources:
-        walk([source])
+        # Depth-first over simple paths; branches are pushed in reverse so
+        # they pop in successor order.
+        stack = [[source]]
+        while stack:
+            path = stack.pop()
+            nexts = [n for n in successors.get(path[-1], ()) if n not in path]
+            if not nexts:
+                if len(path) >= 2:
+                    chains.append(path)
+                continue
+            stack.extend(path + [nxt] for nxt in reversed(nexts))
     covered = {n for chain in chains for n in chain}
     remaining = sorted(n for n in nodes - covered if n in successors)
     for start in remaining:

@@ -15,6 +15,13 @@ a strictly earlier stratum.  Positive references to later strata exist
 redundant; evaluation verifies this with a final re-pass that must add
 nothing.
 
+Each clause is compiled once per program into a fixed join plan: its
+variables are numbered, its body atoms ordered, and each atom reduced to a
+storage key and per-position compare/bind operations over one flat binding
+list.  Evaluation is naive: every stratum re-runs all of its clauses in
+rounds until a round adds nothing, and a round already sees the heads that
+its earlier clauses added.
+
 The default-output-location rule derives a dedicated predicate instead of
 writing output_location directly, keeping the program stratified; readers
 take the union.  Differences on the output-location family are therefore
@@ -32,7 +39,6 @@ from .pipeline import PipelineResult, run_pipeline
 from .taxonomy import main_classes
 
 Atom = tuple
-Bindings = dict[str, str]
 
 
 def is_variable(term: str) -> bool:
@@ -63,15 +69,10 @@ class RuleDef:
     note: str = ""
 
 
-def _key(atom: Atom, bindings: Bindings | None = None) -> tuple | None:
-    """Storage key of an atom; None when a has-atom's slot is unresolved."""
+def _key(atom: Atom) -> tuple | None:
+    """Storage key of an atom; None when a has-atom's slot is a variable."""
     if atom[0] == "has":
-        slot = atom[2]
-        if bindings and slot in bindings:
-            slot = bindings[slot]
-        if is_variable(slot):
-            return None
-        return ("has", slot)
+        return None if is_variable(atom[2]) else ("has", atom[2])
     return (atom[0], len(atom) - 1)
 
 
@@ -82,11 +83,13 @@ def _row(atom: Atom) -> tuple:
     return tuple(atom[1:])
 
 
+_NO_ROWS: frozenset = frozenset()
+
+
 class Database:
     def __init__(self):
         self._rows: dict[tuple, set[tuple]] = {}
         self._by_first: dict[tuple, dict[str, set[tuple]]] = {}
-        self.versions: dict[tuple, int] = {}
         self.global_version = 0
 
     def add(self, key: tuple, row: tuple) -> bool:
@@ -95,15 +98,14 @@ class Database:
             return False
         rows.add(row)
         self._by_first.setdefault(key, {}).setdefault(row[0], set()).add(row)
-        self.versions[key] = self.versions.get(key, 0) + 1
         self.global_version += 1
         return True
 
     def rows(self, key: tuple) -> set[tuple]:
-        return self._rows.get(key, set())
+        return self._rows.get(key, _NO_ROWS)
 
     def rows_first(self, key: tuple, first: str) -> set[tuple]:
-        return self._by_first.get(key, {}).get(first, set())
+        return self._by_first.get(key, {}).get(first, _NO_ROWS)
 
     def has_keys(self) -> list[tuple]:
         return [k for k in self._rows if k[0] == "has"]
@@ -125,84 +127,178 @@ class Model:
         return set(self._db.rows((pred, arity)))
 
     def __contains__(self, atom: Atom) -> bool:
-        key = _key(atom)
-        return _row(atom) in self._db.rows(key)
+        return _row(atom) in self._db.rows(_key(atom))
 
     def size(self) -> int:
         return self._db.size()
 
 
-def _resolve(atom: Atom, bindings: Bindings) -> Atom:
-    return (atom[0],) + tuple(
-        bindings.get(t, t) if is_variable(t) else t for t in atom[1:]
-    )
+# A term compiled against the clause's variable numbering: (True, index)
+# for a variable, (False, value) for a constant.
+_Term = tuple[bool, object]
 
 
-def _candidates(db: Database, atom: Atom, bindings: Bindings):
-    resolved = _resolve(atom, bindings)
-    key = _key(resolved)
-    keys = [key] if key is not None else db.has_keys()
-    pattern = _row(resolved)
-    for k in keys:
-        if pattern and not is_variable(pattern[0]):
-            rows = db.rows_first(k, pattern[0])
+def _value(term: _Term, values: list) -> str:
+    is_var, arg = term
+    return values[arg] if is_var else arg
+
+
+class _CompiledAtom:
+    """A body or negated atom compiled against the variables bound before it.
+
+    ``key`` is the storage key when the predicate and slot are constant;
+    otherwise ``slot`` numbers the slot variable and ``bind_slot`` says it
+    is fresh (every has-key is scanned and the slot bound from the key).
+    ``known`` holds the row positions whose value is fixed before a row is
+    read (position 0 is served by ``Database.rows_first``), ``binds`` the
+    first occurrence of each fresh variable and ``repeats`` each later one.
+    """
+
+    def __init__(self, atom: Atom, index: dict[str, int], bound: set[str]):
+        if atom[0] == "has":
+            slot, row = atom[2], (atom[1], atom[3])
         else:
-            rows = db.rows(k)
-        for row in rows:
-            new_bindings = None
-            ok = True
-            for pat, val in zip(pattern, row):
-                if is_variable(pat):
-                    bound = (new_bindings or {}).get(pat)
-                    if bound is None:
-                        if new_bindings is None:
-                            new_bindings = {}
-                        new_bindings[pat] = val
-                    elif bound != val:
-                        ok = False
-                        break
-                elif pat != val:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            slot_term = atom[2] if atom[0] == "has" else None
-            if slot_term is not None and is_variable(slot_term) and slot_term not in bindings:
-                if new_bindings is None:
-                    new_bindings = {}
-                if new_bindings.get(slot_term, k[1]) != k[1]:
-                    continue
-                new_bindings[slot_term] = k[1]
-            yield new_bindings or {}
+            slot, row = None, atom[1:]
+        self.key = _key(atom)
+        self.slot, self.bind_slot = None, False
+        if self.key is None:
+            self.slot = index.setdefault(slot, len(index))
+            self.bind_slot = slot not in bound
+            bound.add(slot)
+        known: list[tuple[int, _Term]] = []
+        binds: list[tuple[int, int]] = []
+        repeats: list[tuple[int, int]] = []
+        first_at: dict[str, int] = {}
+        for pos, term in enumerate(row):
+            if not is_variable(term):
+                known.append((pos, (False, term)))
+            elif term in bound:
+                known.append((pos, (True, index[term])))
+            elif term in first_at:
+                repeats.append((pos, first_at[term]))
+            else:
+                first_at[term] = pos
+                binds.append((pos, index.setdefault(term, len(index))))
+        bound.update(first_at)
+        self.first = known.pop(0)[1] if known and known[0][0] == 0 else None
+        self.known = tuple(known)
+        self.binds = tuple(binds)
+        self.repeats = tuple(repeats)
+
+    def candidates(self, db: Database, values: list):
+        """Row sets to scan; binds a fresh slot variable per has-key."""
+        if self.key is not None:
+            keys = (self.key,)
+        elif self.bind_slot:
+            keys = db.has_keys()
+        else:
+            keys = (("has", values[self.slot]),)
+        for key in keys:
+            if self.bind_slot:
+                values[self.slot] = key[1]
+            if self.first is None:
+                yield db.rows(key)
+            else:
+                yield db.rows_first(key, _value(self.first, values))
+
+    def matches(self, row: tuple, known: list[tuple[int, str]]) -> bool:
+        for pos, value in known:
+            if row[pos] != value:
+                return False
+        for pos, first in self.repeats:
+            if row[pos] != row[first]:
+                return False
+        return True
+
+    def resolve_known(self, values: list) -> list[tuple[int, str]]:
+        return [(pos, _value(term, values)) for pos, term in self.known]
+
+    def exists(self, db: Database, values: list) -> bool:
+        for rows in self.candidates(db, values):
+            known = self.resolve_known(values)
+            for row in rows:
+                if self.matches(row, known):
+                    return True
+        return False
 
 
-def _free_count(atom: Atom, bindings: Bindings) -> int:
-    return sum(1 for t in atom[1:] if is_variable(t) and t not in bindings)
+class _Plan:
+    """A clause compiled once into a fixed join order over a flat binding list.
 
+    Positive atoms are taken greedily, fewest free variable occurrences
+    first and the lowest index on ties.  The choice depends only on which
+    variables are bound, so it is made once here.  Each ``neq`` guard and
+    negated atom runs as a filter as soon as its variables are bound;
+    variables occurring only under negation are existential and bind
+    fresh.  The head is a projection of the bindings.
+    """
 
-def _match_clause(db: Database, clause: Clause):
-    """Yield full bindings satisfying the clause body."""
+    def __init__(self, clause: Clause):
+        index: dict[str, int] = {}
+        bound: set[str] = set()
+        bound_after: list[set[str]] = [set()]  # variables bound by the first d steps
+        remaining = list(clause.pos)
+        self.steps: list[_CompiledAtom] = []
+        while remaining:
+            best = min(
+                range(len(remaining)),
+                key=lambda i: sum(
+                    1 for t in remaining[i][1:] if is_variable(t) and t not in bound
+                ),
+            )
+            self.steps.append(_CompiledAtom(remaining.pop(best), index, bound))
+            bound_after.append(set(bound))
 
-    def search(remaining: list[Atom], bindings: Bindings):
-        if not remaining:
-            for left, right in clause.neq:
-                lv = bindings.get(left, left)
-                rv = bindings.get(right, right)
-                if lv == rv:
+        def depth(atom_terms) -> int:
+            needed = {t for t in atom_terms if t in bound}
+            return next(d for d, done in enumerate(bound_after) if needed <= done)
+
+        def term(t: str) -> _Term:
+            return (True, index[t]) if t in bound else (False, t)
+
+        # Guards and negated atoms, each at the first depth that binds them.
+        self.guards: list[list[tuple[_Term, _Term]]] = [[] for _ in bound_after]
+        self.negated: list[list[_CompiledAtom]] = [[] for _ in bound_after]
+        for left, right in clause.neq:
+            self.guards[depth((left, right))].append((term(left), term(right)))
+        for atom in clause.neg:
+            visible = {t for t in atom[1:] if t in bound}
+            self.negated[depth(atom[1:])].append(_CompiledAtom(atom, index, visible))
+        self.size = len(index)
+        self.head_key = _key(clause.head)
+        self.head_slot = term(clause.head[2]) if self.head_key is None else None
+        self.head_row = tuple(term(t) for t in _row(clause.head))
+
+    def heads(self, db: Database) -> list[tuple[tuple, tuple]]:
+        """(key, row) of the head for every satisfying binding."""
+        values: list = [None] * self.size
+        found: list[tuple[tuple, tuple]] = []
+        steps, last = self.steps, len(self.steps)
+        guards, negated = self.guards, self.negated
+
+        def search(depth: int):
+            for left, right in guards[depth]:
+                if _value(left, values) == _value(right, values):
                     return
-            for neg_atom in clause.neg:
-                if any(True for _ in _candidates(db, neg_atom, bindings)):
+            for atom in negated[depth]:
+                if atom.exists(db, values):
                     return
-            yield bindings
-            return
-        # Pick the most-bound atom next to keep the join narrow.
-        best = min(range(len(remaining)), key=lambda i: _free_count(remaining[i], bindings))
-        atom = remaining[best]
-        rest = remaining[:best] + remaining[best + 1:]
-        for extra in _candidates(db, atom, bindings):
-            yield from search(rest, {**bindings, **extra})
+            if depth == last:
+                key = self.head_key or ("has", _value(self.head_slot, values))
+                found.append((key, tuple(_value(t, values) for t in self.head_row)))
+                return
+            step = steps[depth]
+            binds = step.binds
+            for rows in step.candidates(db, values):
+                known = step.resolve_known(values)  # after a fresh slot is bound
+                for row in rows:
+                    if step.matches(row, known):
+                        for pos, var in binds:
+                            values[var] = row[pos]
+                        search(depth + 1)
 
-    yield from search(list(clause.pos), {})
+        search(0)
+        return found
 
 
 @dataclass
@@ -210,6 +306,7 @@ class RuleProgram:
     rules: list[RuleDef]
     strata: list[list[str]]
     _by_id: dict[str, RuleDef] = field(default_factory=dict)
+    _plans: list[list[_Plan]] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         self._by_id = {rule.id: rule for rule in self.rules}
@@ -217,6 +314,10 @@ class RuleProgram:
         if sorted(listed) != sorted(self._by_id):
             raise StratificationError("strata do not cover the rule set exactly")
         self._check_stratification()
+        self._plans = [
+            [_Plan(clause) for rule_id in stratum for clause in self._by_id[rule_id].clauses]
+            for stratum in self.strata
+        ]
 
     def rule(self, rule_id: str) -> RuleDef:
         return self._by_id[rule_id]
@@ -272,27 +373,15 @@ class RuleProgram:
         return Model(db)
 
     def _run_strata(self, db: Database):
-        for stratum in self.strata:
-            clauses = [
-                clause
-                for rule_id in stratum
-                for clause in self._by_id[rule_id].clauses
-            ]
+        for plans in self._plans:
             last_seen = -1
-            while True:
-                version = db.global_version
-                if version == last_seen:
-                    break
-                last_seen = version
-                for clause in clauses:
-                    if not clause.pos and not clause.neg:
-                        db.add(_key(clause.head), _row(clause.head))
-                        continue
+            while db.global_version != last_seen:
+                last_seen = db.global_version
+                for plan in plans:
                     # Materialize before inserting: additions must not feed
                     # the iteration that produced them mid-flight.
-                    for bindings in list(_match_clause(db, clause)):
-                        head = _resolve(clause.head, bindings)
-                        db.add(_key(head), _row(head))
+                    for key, row in plan.heads(db):
+                        db.add(key, row)
 
 
 def _facts(rule_id: str, group: str, atoms: list[Atom], note: str = "") -> RuleDef:

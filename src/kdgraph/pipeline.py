@@ -79,7 +79,8 @@ def run_pipeline(
     diagnostics.extend(udg.diagnostics)
     typing = infer_event_typing(store, udg, hierarchy, diagnostics)
     initial_kdg = build_kdg(udg, typing)  # validates endpoints and acyclicity
-    diagnostics.extend(initial_kdg.diagnostics)
+    # Typing has already reported each node that build_kdg excludes as untyped.
+    diagnostics.extend(d for d in initial_kdg.diagnostics if d.code != "untyped-node")
 
     derive_next_events(store)
     derive_first_last_subevents(store, diagnostics)

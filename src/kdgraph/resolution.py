@@ -105,14 +105,20 @@ class MatchSet:
 
     def witness_chain(self, source: str, target: str, conf: Confidence) -> list[str]:
         """One derivation path source .. target supporting the atom."""
-        key = (source, target, conf)
-        how = self._witness[key]
-        if how[0] == "base":
-            return [source, target]
-        _, mid, conf1, conf2 = how
-        left = self.witness_chain(source, mid, conf1)
-        right = self.witness_chain(mid, target, conf2)
-        return left + right[1:]
+        # The base atoms at the leaves of the witness tree, left to right,
+        # are consecutive steps of the path.
+        chain = [source]
+        pending = [(source, target, conf)]
+        while pending:
+            key = pending.pop()
+            how = self._witness[key]
+            if how[0] == "base":
+                chain.append(key[1])
+                continue
+            _, mid, conf1, conf2 = how
+            pending.append((mid, key[1], conf2))
+            pending.append((key[0], mid, conf1))
+        return chain
 
     def report(self) -> list[dict]:
         rows = []

@@ -7,6 +7,11 @@ the cycle witnesses that ``build_kdg`` and the class hierarchy report
 through the CLI; ``witnesses.txt`` records those of ``subevent_closure``
 and ``ClassHierarchy.from_store`` called directly.
 
+``models.txt`` holds one digest per rule-program model: the asserted facts
+of each fixture and of ``fuzz.random_store(seed)`` for seeds 0-99 are
+evaluated by ``encode_program()``, and every storage key of the model is
+recorded with its row count and the SHA-256 of its sorted rows.
+
 Recapture (only when an output change is intended)::
 
     PYTHONPATH=src python -m tests.golden.capture
@@ -15,19 +20,23 @@ Recapture (only when an output change is intended)::
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import tempfile
 from pathlib import Path
 
 from kdgraph.cli import main
-from kdgraph.facts import parse_fact_path
+from kdgraph.facts import KnowledgeStore, parse_fact_path
+from kdgraph.fuzz import random_store
 from kdgraph.graph import GraphCycleError
 from kdgraph.linking import subevent_closure
+from kdgraph.oracle import Model, RuleProgram, encode_program, fact_base_from_store
 from kdgraph.taxonomy import ClassHierarchy, HierarchyCycleError
 
 REPO = Path(__file__).resolve().parents[2]
 GOLDEN = Path(__file__).resolve().parent / "cases"
+MODELS = Path(__file__).resolve().parent / "models.txt"
 PATCH = "@patch"  # placeholder argument replaced by a temporary patch path
 
 FIXTURES = "tests/fixtures"
@@ -147,6 +156,44 @@ def witnesses() -> str:
     return "\n".join(lines) + "\n"
 
 
+MODEL_FIXTURES = ("photosynthesis", "eukaryote", "rooted_cell")
+MODEL_SEEDS = range(100)
+
+
+def model_names() -> list[str]:
+    return list(MODEL_FIXTURES) + [f"random_store.{seed}" for seed in MODEL_SEEDS]
+
+
+def model_store(name: str) -> KnowledgeStore:
+    """The store a model digest is taken of, by name."""
+    if name.startswith("random_store."):
+        return random_store(int(name.split(".")[1]))
+    return parse_fact_path(REPO / FIXTURES / f"{name}.facts")
+
+
+def model_digest(model: Model) -> str:
+    """One line per storage key: key, row count, SHA-256 of the sorted rows."""
+    lines = []
+    for key, rows in model._db._rows.items():  # Model has no public key listing
+        listing = "\n".join(repr(row) for row in sorted(rows)).encode()
+        label = " ".join(str(part) for part in key)
+        lines.append(f"{label} {len(rows)} {hashlib.sha256(listing).hexdigest()}")
+    return "\n".join(sorted(lines)) + "\n"
+
+
+def model_text(name: str, program: RuleProgram) -> str:
+    """The digest block of one model, headed by its name."""
+    store = model_store(name).asserted_only()
+    model = program.evaluate(fact_base_from_store(store))
+    return f"## {name}\n{model_digest(model)}"
+
+
+def read_models() -> dict[str, str]:
+    """Captured digest blocks by model name."""
+    blocks = MODELS.read_text().split("## ")[1:]
+    return {block.split("\n", 1)[0]: "## " + block for block in blocks}
+
+
 def outputs() -> dict[str, str]:
     """Every golden text by file name; run from the repository root."""
     texts = {f"{name}.txt": run_case(argv) for name, argv in cases().items()}
@@ -177,3 +224,7 @@ if __name__ == "__main__":
     for name, text in texts.items():
         (GOLDEN / name).write_text(text)
     print(f"wrote {len(texts)} golden files to {GOLDEN.relative_to(REPO)}")
+    program = encode_program()
+    names = model_names()
+    MODELS.write_text("".join(model_text(name, program) for name in names))
+    print(f"wrote {len(names)} model digests to {MODELS.relative_to(REPO)}")

@@ -60,6 +60,18 @@ class TestDerive:
         _, _, err = _run(capsys, "derive", str(fixtures_dir / "eukaryote.facts"))
         assert "WARNING broken-chain" in err
 
+    def test_untyped_node_reported_once(self, capsys, tmp_path):
+        # room descends from spatial_entity, which never reaches entity.
+        path = tmp_path / "untyped.facts"
+        path.write_text(
+            "has(l1, instance_of, room).\nhas(room, superclass, spatial_entity).\n"
+        )
+        code, _, err = _run(capsys, "derive", str(path))
+        assert code == 0
+        assert [line for line in err.splitlines() if "untyped-node" in line] == [
+            "WARNING untyped-node l1 could not be typed"
+        ]
+
     def test_quiet_verbosity_suppresses_diagnostics(self, capsys, monkeypatch, fixtures_dir):
         monkeypatch.setenv("KDGRAPH_VERBOSITY", "quiet")
         code, _, err = _run(capsys, "derive", str(fixtures_dir / "eukaryote.facts"))

@@ -4,6 +4,7 @@ import pytest
 
 from kdgraph.oracle import (
     Clause,
+    EvaluationError,
     RuleDef,
     RuleProgram,
     StratificationError,
@@ -182,3 +183,126 @@ class TestDifferential:
 
         report = differential_check(random_store(42), program)
         assert report.passed, report.to_text()
+
+
+def _one_stratum(*clauses: Clause) -> RuleProgram:
+    rules = [RuleDef(f"r{i}", "r", (clause,)) for i, clause in enumerate(clauses)]
+    return RuleProgram(rules, [[rule.id for rule in rules]])
+
+
+def _assert_model(model, expected: set):
+    """The model holds exactly the expected atoms."""
+    assert {atom for atom in expected if atom not in model} == set()
+    assert model.size() == len(expected)
+
+
+class TestClauseShapes:
+    """Small programs, one clause shape each, with the whole model spelled out."""
+
+    BASE = [
+        ("has", "a", "agent", "b"),
+        ("has", "a", "likes", "a"),
+        ("has", "a", "likes", "b"),
+        ("has", "c", "color", "d"),
+        ("has", "likes", "likes", "e"),
+    ]
+
+    def test_fresh_slot_variable_with_inventory(self):
+        # The t9 shape: the slot comes from the inventory atom.
+        program = _one_stratum(
+            Clause(("participant_edge", "agent")),
+            Clause(("actor", "E"), (("has", "E", "S", "X"), ("participant_edge", "S"))),
+        )
+        model = program.evaluate(self.BASE)
+        _assert_model(model, set(self.BASE) | {("participant_edge", "agent"), ("actor", "a")})
+
+    def test_fresh_slot_variable_scans_every_slot(self):
+        program = _one_stratum(Clause(("uses", "E", "S"), (("has", "E", "S", "X"),)))
+        model = program.evaluate(self.BASE)
+        _assert_model(model, set(self.BASE) | {
+            ("uses", "a", "agent"), ("uses", "a", "likes"),
+            ("uses", "c", "color"), ("uses", "likes", "likes"),
+        })
+
+    def test_slot_variable_bound_by_earlier_atom(self):
+        program = _one_stratum(
+            Clause(("pick", "likes")),
+            Clause(("picked", "E", "X"), (("pick", "S"), ("has", "E", "S", "X"))),
+        )
+        model = program.evaluate(self.BASE)
+        _assert_model(model, set(self.BASE) | {
+            ("pick", "likes"), ("picked", "a", "a"), ("picked", "a", "b"),
+            ("picked", "likes", "e"),
+        })
+
+    def test_variable_repeated_inside_one_atom(self):
+        program = _one_stratum(Clause(("self", "X", "S"), (("has", "X", "S", "X"),)))
+        model = program.evaluate(self.BASE)
+        _assert_model(model, set(self.BASE) | {("self", "a", "likes")})
+
+    def test_slot_variable_equal_to_row_variable(self):
+        program = _one_stratum(
+            Clause(("own_slot", "X", "Y"), (("has", "X", "X", "Y"),)),
+            Clause(("slot_value", "X", "Y"), (("has", "X", "Y", "Y"),)),
+        )
+        base = self.BASE + [("has", "b", "agent", "agent")]
+        model = program.evaluate(base)
+        _assert_model(model, set(base) | {("own_slot", "likes", "e"),
+                                          ("slot_value", "b", "agent")})
+
+    def test_constant_first_argument(self):
+        program = _one_stratum(
+            Clause(("liked_by_a", "X"), (("has", "a", "likes", "X"),)),
+            Clause(("about_a", "S"), (("has", "a", "S", "b"),)),
+        )
+        model = program.evaluate(self.BASE)
+        _assert_model(model, set(self.BASE) | {
+            ("liked_by_a", "a"), ("liked_by_a", "b"),
+            ("about_a", "agent"), ("about_a", "likes"),
+        })
+
+    def test_neq_guards(self):
+        program = _one_stratum(
+            Clause(("other", "A", "B"), (("has", "A", "likes", "B"),), neq=(("A", "B"),)),
+            Clause(("not_e", "A", "B"), (("has", "A", "likes", "B"),), neq=(("B", "e"),)),
+        )
+        model = program.evaluate(self.BASE)
+        _assert_model(model, set(self.BASE) | {
+            ("other", "a", "b"), ("other", "likes", "e"),
+            ("not_e", "a", "a"), ("not_e", "a", "b"),
+        })
+
+    def test_negated_atom_with_existential_variable(self):
+        # The i25 shape: ANY occurs only under negation.
+        base = [
+            ("event", "e1"), ("event", "e2"), ("event", "e3"),
+            ("has", "e1", "input_location", "l1"),
+            ("has", "e2", "input_location", "l2"),
+            ("has", "e2", "output_location", "l3"),
+            ("has", "e4", "input_location", "l4"),
+        ]
+        program = _one_stratum(
+            Clause(("defaulted", "E", "A"),
+                   (("has", "E", "input_location", "A"), ("event", "E")),
+                   neg=(("has", "E", "output_location", "ANY"),)),
+        )
+        model = program.evaluate(base)
+        _assert_model(model, set(base) | {("defaulted", "e1", "l1")})
+
+    def test_recursive_clause_reaches_its_closure(self):
+        base = [("has", "a", "superclass", "b"), ("has", "b", "superclass", "c"),
+                ("has", "c", "superclass", "d")]
+        program = _one_stratum(
+            Clause(("has", "M", "ancestor", "N"), (("has", "M", "superclass", "N"),)),
+            Clause(("has", "M", "ancestor", "N"),
+                   (("has", "M", "superclass", "K"), ("has", "K", "ancestor", "N"))),
+        )
+        model = program.evaluate(base)
+        assert model.has_pairs("ancestor") == {
+            ("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d"),
+        }
+        assert model.size() == 9
+
+    def test_unresolved_base_atom_rejected(self):
+        with pytest.raises(EvaluationError):
+            RuleProgram([], []).evaluate([("has", "a", "S", "b")])

@@ -13,7 +13,8 @@ from kdgraph.graph import (
     build_kdg,
     depth_first,
 )
-from kdgraph.linking import subevent_closure
+from kdgraph.linking import extract_chains, subevent_closure
+from kdgraph.resolution import Confidence, MatchSet
 from kdgraph.taxonomy import ClassHierarchy
 
 
@@ -89,3 +90,18 @@ class TestDeepInputs:
         closure = subevent_closure(store)
         assert len(closure) == DEEP * (DEEP - 1) // 2
         assert (names[0], names[-1]) in closure
+
+    def test_linear_pairs_form_one_chain(self):
+        names = _chain(DEEP)
+        assert extract_chains(list(zip(names, names[1:]))) == [names]
+
+    def test_witness_chain_of_nested_chain_atoms(self):
+        # (n0, n_k) is witnessed by (n0, n_k-1) and the base atom (n_k-1, n_k).
+        names = _chain(DEEP)
+        high = Confidence.HIGH
+        matches = MatchSet("match")
+        for a, b in zip(names, names[1:]):
+            matches.add_base(a, b, high, "ma3")
+        for mid, target in zip(names[1:], names[2:]):
+            matches.add_chain(names[0], target, high, mid, high, high)
+        assert matches.witness_chain(names[0], names[-1], high) == names
