@@ -21,7 +21,7 @@ from .graph import (
 from .linking import JoinAtom, possible_next_events, subevent_closure, synthesize_super_event
 from .oracle import differential_check, encode_program
 from .pipeline import PipelineResult, run_pipeline
-from .resolution import Confidence, MatchAtom, match_instances, min_confidence, spatial_match
+from .resolution import Confidence, match_instances, min_confidence, spatial_match
 from .taxonomy import ClassHierarchy, HierarchyCycleError, ancestor_classes, main_classes
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ __all__ = [
     "IORelation",
     "JoinAtom",
     "KnowledgeStore",
-    "MatchAtom",
     "NodeKind",
     "PipelineResult",
     "Provenance",

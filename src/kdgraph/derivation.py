@@ -180,8 +180,8 @@ def derive_next_events(store: KnowledgeStore) -> set[Fact]:
     added: set[Fact] = set()
     for slot in ("enables", "causes", "prevents", "inhibits"):
         for fact in store.query(slot=slot):
-            if store.add_derived(fact.subject, "next_event", fact.value, "e2"):
-                added.add(store.query(fact.subject, "next_event", fact.value)[0])
+            if derived := store.add_derived(fact.subject, "next_event", fact.value, "e2"):
+                added.add(derived)
     return added
 
 
@@ -211,12 +211,12 @@ def derive_first_last_subevents(
             has_successor = any(v != member for v in successors[member])
             if not has_predecessor:
                 firsts.append(member)
-                if store.add_derived(parent, "first_subevent", member, "e5"):
-                    added.add(store.query(parent, "first_subevent", member)[0])
+                if derived := store.add_derived(parent, "first_subevent", member, "e5"):
+                    added.add(derived)
             if not has_successor:
                 lasts.append(member)
-                if store.add_derived(parent, "last_subevent", member, "e6"):
-                    added.add(store.query(parent, "last_subevent", member)[0])
+                if derived := store.add_derived(parent, "last_subevent", member, "e6"):
+                    added.add(derived)
         if len(members) >= 2 and not _is_simple_chain(members, successors):
             _diag(
                 diagnostics,
@@ -335,6 +335,6 @@ def default_output_location(store: KnowledgeStore) -> set[Fact]:
         if store.values(event, "output_location"):
             continue
         for location in store.values(event, "input_location"):
-            if store.add_derived(event, "output_location", location, DEFAULT_OUTPUT_RULE):
-                added.add(store.query(event, "output_location", location)[0])
+            if derived := store.add_derived(event, "output_location", location, DEFAULT_OUTPUT_RULE):
+                added.add(derived)
     return added

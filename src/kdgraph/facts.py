@@ -123,9 +123,10 @@ class KnowledgeStore:
         self._by_subject_slot.setdefault((fact.subject, fact.slot), set()).add(triple)
         return True
 
-    def add_derived(self, subject: str, slot: str, value: str, rule: str) -> bool:
-        """Record a rule-derived fact; no-op when already present."""
-        return self.add(Fact(subject, slot, value, Provenance.derived(rule)))
+    def add_derived(self, subject: str, slot: str, value: str, rule: str) -> Fact | None:
+        """Record a rule-derived fact and return it; None when already present."""
+        fact = Fact(subject, slot, value, Provenance.derived(rule))
+        return fact if self.add(fact) else None
 
     def query(
         self,

@@ -36,11 +36,13 @@ class JoinAtom:
     loc_confidence: Confidence
 
 
-def _best_either_direction(matches: MatchSet, left: str, right: str) -> Confidence | None:
-    candidates = [
-        c for c in (matches.best(left, right), matches.best(right, left)) if c is not None
+def _best_between(relation: MatchSet, lefts: list[str], rights: list[str]) -> Confidence | None:
+    """Highest level of any left/right pair, matched in either direction."""
+    found = [
+        conf for left in lefts for right in rights
+        for conf in (relation.best(left, right), relation.best(right, left)) if conf is not None
     ]
-    return max(candidates) if candidates else None
+    return max(found, default=None)
 
 
 def joins(
@@ -57,20 +59,10 @@ def joins(
         if not outputs[a] or not out_locs[a]:
             continue
         for b in events:
-            io_conf: Confidence | None = None
-            for o in outputs[a]:
-                for i in inputs[b]:
-                    found = _best_either_direction(matches, o, i)
-                    if found is not None and (io_conf is None or found > io_conf):
-                        io_conf = found
+            io_conf = _best_between(matches, outputs[a], inputs[b])
             if io_conf is None:
                 continue
-            loc_conf: Confidence | None = None
-            for ol in out_locs[a]:
-                for il in in_locs[b]:
-                    found = _best_either_direction(spatial, ol, il)
-                    if found is not None and (loc_conf is None or found > loc_conf):
-                        loc_conf = found
+            loc_conf = _best_between(spatial, out_locs[a], in_locs[b])
             if loc_conf is None:
                 continue
             atoms.append(JoinAtom(a, b, io_conf, loc_conf))
@@ -104,6 +96,14 @@ def subevent_closure(store: KnowledgeStore) -> set[tuple[str, str]]:
     return {(anc, desc) for anc, descs in closure.items() for desc in descs}
 
 
+def _ancestors(closure: set[tuple[str, str]]) -> dict[str, set[str]]:
+    """Descendant -> its ancestors, from ``subevent_closure`` pairs."""
+    ancestors: dict[str, set[str]] = {}
+    for anc, desc in closure:
+        ancestors.setdefault(desc, set()).add(anc)
+    return ancestors
+
+
 def possible_next_events(
     join_atoms: list[JoinAtom], closure: set[tuple[str, str]]
 ) -> tuple[list[tuple[str, str]], dict[tuple[str, str], list[int]]]:
@@ -112,9 +112,7 @@ def possible_next_events(
     Returns (surviving ordered pairs, rejected pair -> exclusion codes).
     """
     joined = {(a.source, a.target) for a in join_atoms}
-    ancestors: dict[str, set[str]] = {}
-    for anc, desc in closure:
-        ancestors.setdefault(desc, set()).add(anc)
+    ancestors = _ancestors(closure)
     survivors = []
     excluded: dict[tuple[str, str], list[int]] = {}
     for a, b in sorted(joined):
@@ -216,9 +214,7 @@ def synthesize_super_event(
     if len(chain) < 2:
         raise ChainError("a super event needs a chain of at least two events")
     closure = subevent_closure(store)
-    ancestors: dict[str, set[str]] = {}
-    for anc, desc in closure:
-        ancestors.setdefault(desc, set()).add(anc)
+    ancestors = _ancestors(closure)
     for i, member in enumerate(chain):
         for other in chain[i + 1:]:
             if (member, other) in closure or (other, member) in closure:

@@ -6,14 +6,16 @@ clauses seed levels, a chain rule composes them at the minimum of the two
 step confidences, and the reported relation per pair is the maximum
 derivable level.  All derivable levels are retained so the reference
 evaluator can be compared level by level, and every derived atom records
-one witness chain.
+one witness chain.  A :class:`MatchSet` holds the relation in one map,
+source -> target -> level -> witness, plus a target -> sources index; the
+chain closure, the joins and the report all read that map.
 
 The relations are directional; nothing here assumes symmetry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
 from enum import IntEnum
 from typing import Iterable
 
@@ -41,67 +43,75 @@ def min_confidence(a: Confidence, b: Confidence) -> Confidence:
     return a if a <= b else b
 
 
-@dataclass(frozen=True)
-class MatchAtom:
-    source: str
-    target: str
-    confidence: Confidence
-    kind: str  # "match" or "spatial"
-
-
 _Key = tuple[str, str, Confidence]
 
 
 class MatchSet:
-    """All derivable (source, target, level) atoms plus witness parents."""
+    """All derivable (source, target, level) atoms, each with one witness.
+
+    The relation is stored once, as the map source -> target -> level ->
+    witness, where a witness is ("base", rule) or ("chain", mid, conf1,
+    conf2).  ``_sources`` indexes it by target, so the atoms into a node
+    are a lookup as well.
+    """
 
     def __init__(self, kind: str):
         self.kind = kind
-        self._atoms: set[_Key] = set()
-        # Witness per atom: ("base", rule) or ("chain", mid, conf1, conf2).
-        self._witness: dict[_Key, tuple] = {}
+        self._relation: dict[str, dict[str, dict[Confidence, tuple]]] = defaultdict(dict)
+        self._sources: dict[str, list[str]] = defaultdict(list)
+        self._size = 0
 
     def __contains__(self, key: _Key) -> bool:
-        return key in self._atoms
+        source, target, conf = key
+        return conf in self._relation.get(source, {}).get(target, ())
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return self._size
 
     def add_base(self, source: str, target: str, conf: Confidence, rule: str) -> bool:
-        return self._add((source, target, conf), ("base", rule))
+        return self._add(source, target, conf, ("base", rule))
 
     def add_chain(
         self, source: str, target: str, conf: Confidence, mid: str,
         conf1: Confidence, conf2: Confidence,
     ) -> bool:
-        return self._add((source, target, conf), ("chain", mid, conf1, conf2))
+        return self._add(source, target, conf, ("chain", mid, conf1, conf2))
 
-    def _add(self, key: _Key, witness: tuple) -> bool:
-        if key in self._atoms:
+    def _add(self, source: str, target: str, conf: Confidence, witness: tuple) -> bool:
+        levels = self._relation[source].get(target)
+        if levels is None:
+            levels = self._relation[source][target] = {}
+            self._sources[target].append(source)
+        elif conf in levels:
             return False
-        self._atoms.add(key)
-        self._witness[key] = witness
+        levels[conf] = witness
+        self._size += 1
         return True
 
     def atoms(self) -> list[_Key]:
-        return sorted(self._atoms)
+        return sorted(
+            (source, target, conf)
+            for source, targets in self._relation.items()
+            for target, levels in targets.items()
+            for conf in levels
+        )
 
     def levels(self, source: str, target: str) -> set[Confidence]:
-        return {c for (s, t, c) in self._atoms if s == source and t == target}
+        return set(self._relation.get(source, {}).get(target, ()))
 
     def best(self, source: str, target: str) -> Confidence | None:
-        levels = self.levels(source, target)
+        levels = self._relation.get(source, {}).get(target)
         return max(levels) if levels else None
 
-    def pairs(self) -> set[tuple[str, str]]:
-        return {(s, t) for (s, t, _) in self._atoms}
+    def successors(self, source: str) -> list[tuple[str, Confidence]]:
+        """(target, level) of every atom out of ``source``, sorted."""
+        targets = self._relation.get(source, {})
+        return sorted((target, conf) for target in targets for conf in targets[target])
 
-    def best_atoms(self) -> list[MatchAtom]:
-        """Max-confidence view, one atom per ordered pair."""
-        return [
-            MatchAtom(s, t, self.best(s, t), self.kind)
-            for s, t in sorted(self.pairs())
-        ]
+    def predecessors(self, target: str) -> list[tuple[str, Confidence]]:
+        """(source, level) of every atom into ``target``, sorted."""
+        sources = self._sources.get(target, ())
+        return sorted((src, conf) for src in sources for conf in self._relation[src][target])
 
     def witness_chain(self, source: str, target: str, conf: Confidence) -> list[str]:
         """One derivation path source .. target supporting the atom."""
@@ -110,58 +120,51 @@ class MatchSet:
         chain = [source]
         pending = [(source, target, conf)]
         while pending:
-            key = pending.pop()
-            how = self._witness[key]
+            src, dst, level = pending.pop()
+            how = self._relation[src][dst][level]
             if how[0] == "base":
-                chain.append(key[1])
+                chain.append(dst)
                 continue
             _, mid, conf1, conf2 = how
-            pending.append((mid, key[1], conf2))
-            pending.append((key[0], mid, conf1))
+            pending.append((mid, dst, conf2))
+            pending.append((src, mid, conf1))
         return chain
 
     def report(self) -> list[dict]:
+        """One row per ordered pair, at its maximum level."""
         rows = []
-        for atom in self.best_atoms():
-            rows.append(
-                {
-                    "from": atom.source,
-                    "to": atom.target,
-                    "kind": self.kind,
-                    "confidence": atom.confidence.label,
-                    "witness_chain": self.witness_chain(
-                        atom.source, atom.target, atom.confidence
-                    ),
-                }
-            )
+        for source, targets in sorted(self._relation.items()):
+            for target, levels in sorted(targets.items()):
+                conf = max(levels)
+                rows.append(
+                    {
+                        "from": source,
+                        "to": target,
+                        "kind": self.kind,
+                        "confidence": conf.label,
+                        "witness_chain": self.witness_chain(source, target, conf),
+                    }
+                )
         return rows
 
 
 def _close_under_chaining(matches: MatchSet, distinct: bool):
     """Compose atoms at min confidence until nothing new appears."""
-    by_source: dict[str, set[_Key]] = {}
-    by_target: dict[str, set[_Key]] = {}
-    for atom in matches.atoms():
-        by_source.setdefault(atom[0], set()).add(atom)
-        by_target.setdefault(atom[1], set()).add(atom)
-    queue = list(matches.atoms())
+    queue = matches.atoms()
 
     def emit(src: str, dst: str, mid: str, conf1: Confidence, conf2: Confidence):
         if distinct and (src == dst or src == mid or mid == dst):
             return
         conf = min_confidence(conf1, conf2)
         if matches.add_chain(src, dst, conf, mid, conf1, conf2):
-            key = (src, dst, conf)
-            by_source.setdefault(src, set()).add(key)
-            by_target.setdefault(dst, set()).add(key)
-            queue.append(key)
+            queue.append((src, dst, conf))
 
     while queue:
         a, c, conf1 = queue.pop()
         # New atom as the left leg, then as the right leg of a chain.
-        for (_, b, conf2) in sorted(by_source.get(c, ())):
+        for b, conf2 in matches.successors(c):
             emit(a, b, c, conf1, conf2)
-        for (x, _, confx) in sorted(by_target.get(a, ())):
+        for x, confx in matches.predecessors(a):
             emit(x, c, a, confx, conf1)
 
 
@@ -187,25 +190,25 @@ def match_instances(
         inst: frozenset(main_classes(store, hierarchy, inst)) for inst in instances
     }
     instances = [inst for inst in instances if mains[inst]]
+    above = {inst: frozenset().union(*map(hierarchy.ancestors, mains[inst])) for inst in instances}
     index = set(instances)
     matches = MatchSet("match")
 
     for inst in instances:
         matches.add_base(inst, inst, Confidence.HIGH, "ma1")
-    for fact in store.query(slot="cloned_from"):
-        if fact.subject in index and fact.value in index:
-            matches.add_base(fact.subject, fact.value, Confidence.HIGH, "ma2")
     clone_sources: dict[str, list[str]] = {}
     for fact in store.query(slot="cloned_from"):
         if fact.subject in index:
+            if fact.value in index:
+                matches.add_base(fact.subject, fact.value, Confidence.HIGH, "ma2")
             clone_sources.setdefault(fact.value, []).append(fact.subject)
-    for source, cloners in sorted(clone_sources.items()):
+    for cloners in clone_sources.values():
         for a in cloners:
             for b in cloners:
                 matches.add_base(a, b, Confidence.MEDIUM, "ma4")
     for a in instances:
         for b in instances:
-            if any(ca in hierarchy.ancestors(cb) for ca in mains[a] for cb in mains[b]):
+            if not mains[a].isdisjoint(above[b]):
                 matches.add_base(a, b, Confidence.HIGH, "ma3")
             if mains[a] & mains[b]:
                 matches.add_base(a, b, Confidence.LOW, "ma5")

@@ -5,7 +5,10 @@ with relative input paths, and records its exit code, stdout, stderr and
 any file written through ``--patch``.  The ``*_cycle.derive`` cases record
 the cycle witnesses that ``build_kdg`` and the class hierarchy report
 through the CLI; ``witnesses.txt`` records those of ``subevent_closure``
-and ``ClassHierarchy.from_store`` called directly.
+and ``ClassHierarchy.from_store`` called directly.  The ``ladder`` cases
+read ``inputs/ladder.facts``, written once from ``bench/workloads.ladder(3)``:
+its multi-level pairs and long witness chains fix the order in which the
+match closure finds its atoms.
 
 ``models.txt`` holds one digest per rule-program model: the asserted facts
 of each fixture and of ``fuzz.random_store(seed)`` for seeds 0-99 are
@@ -125,6 +128,10 @@ def cases() -> dict[str, list[str]]:
         ]
     for name in ("subevent_cycle", "part_cycle", "superclass_cycle"):
         table[f"{name}.derive"] = ["derive", f"{INPUTS}/{name}.facts"]
+    ladder = f"{INPUTS}/ladder.facts"
+    table["ladder.resolve"] = ["resolve", ladder]
+    table["ladder.link.patch"] = ["link", ladder, "--patch", PATCH]
+    table["ladder.derive.json"] = ["derive", ladder, "--format", "json"]
     return table
 
 

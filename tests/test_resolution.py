@@ -1,14 +1,18 @@
 import itertools
 
+import pytest
+
 from kdgraph.facts import parse_fact_file
 from kdgraph.pipeline import run_pipeline
 from kdgraph.resolution import (
     Confidence,
+    MatchSet,
     match_instances,
     min_confidence,
     spatial_match,
 )
 from kdgraph.taxonomy import ClassHierarchy
+from tests.golden.capture import model_store
 
 LEVELS = [Confidence.LOW, Confidence.MEDIUM, Confidence.HIGH]
 
@@ -37,6 +41,64 @@ class TestConfidenceLattice:
     def test_labels(self):
         assert Confidence.HIGH.label == "high"
         assert Confidence.from_label("medium") is Confidence.MEDIUM
+
+
+class TestMatchSet:
+    def _relation(self):
+        relation = MatchSet("match")
+        relation.add_base("b", "c", Confidence.LOW, "ma5")
+        relation.add_base("a", "b", Confidence.LOW, "ma5")
+        relation.add_base("a", "b", Confidence.HIGH, "ma3")
+        relation.add_chain("a", "c", Confidence.LOW, "b", Confidence.HIGH, Confidence.LOW)
+        return relation
+
+    def test_duplicate_add_keeps_first_witness(self):
+        relation = self._relation()
+        assert not relation.add_chain(
+            "a", "b", Confidence.HIGH, "x", Confidence.HIGH, Confidence.HIGH
+        )
+        assert not relation.add_base("a", "c", Confidence.LOW, "ma5")
+        assert relation.witness_chain("a", "b", Confidence.HIGH) == ["a", "b"]
+        assert relation.witness_chain("a", "c", Confidence.LOW) == ["a", "b", "c"]
+
+    def test_len_counts_atoms_not_pairs(self):
+        relation = self._relation()
+        assert len(relation) == 4
+        assert len(relation.atoms()) == 4
+        assert len(relation.report()) == 3
+
+    def test_every_stored_level_is_contained(self):
+        relation = self._relation()
+        assert relation.atoms() == [
+            ("a", "b", Confidence.LOW),
+            ("a", "b", Confidence.HIGH),
+            ("a", "c", Confidence.LOW),
+            ("b", "c", Confidence.LOW),
+        ]
+        for atom in relation.atoms():
+            assert atom in relation
+        assert ("a", "b", Confidence.MEDIUM) not in relation
+        assert ("c", "a", Confidence.LOW) not in relation
+        assert relation.levels("a", "b") == {Confidence.LOW, Confidence.HIGH}
+        assert relation.levels("b", "a") == set()
+
+    def test_report_is_one_row_per_pair_at_its_best_level(self):
+        assert self._relation().report() == [
+            {"from": "a", "to": "b", "kind": "match", "confidence": "high",
+             "witness_chain": ["a", "b"]},
+            {"from": "a", "to": "c", "kind": "match", "confidence": "low",
+             "witness_chain": ["a", "b", "c"]},
+            {"from": "b", "to": "c", "kind": "match", "confidence": "low",
+             "witness_chain": ["b", "c"]},
+        ]
+
+    def test_neighbours_are_sorted(self):
+        relation = self._relation()
+        assert relation.successors("a") == [
+            ("b", Confidence.LOW), ("b", Confidence.HIGH), ("c", Confidence.LOW)
+        ]
+        assert relation.predecessors("c") == [("a", Confidence.LOW), ("b", Confidence.LOW)]
+        assert relation.successors("c") == [] and relation.predecessors("a") == []
 
 
 def _matches(text):
@@ -109,8 +171,11 @@ class TestMatching:
         assert matches.best("a", "b") is Confidence.LOW
         assert matches.best("a", "c") is None
 
-    def test_maximality_against_naive_closure(self, eukaryote_store):
-        result = run_pipeline(eukaryote_store)
+    @pytest.mark.parametrize(
+        "name", ["eukaryote"] + [f"random_store.{seed}" for seed in range(20)]
+    )
+    def test_maximality_against_naive_closure(self, name):
+        result = run_pipeline(model_store(name))
         naive = _naive_match_closure(result.store, result.hierarchy)
         produced = {(s, t, c) for (s, t, c) in result.matches.atoms()}
         assert produced == naive
@@ -218,6 +283,32 @@ class TestSpatialMatching:
     def test_directionality_not_symmetric(self):
         spatial, _ = self._spatial()
         assert spatial.best("cytosol987", "cytoplasm322") is None
+
+    def test_is_inside_chain_closes_to_containment(self):
+        # Each location is its own class, l{i} sits inside l{i-1}.
+        size = 40
+        lines = ["has(spatial_entity, superclass, entity)."]
+        for i in range(size):
+            lines.append(f"has(lc{i}, superclass, spatial_entity).")
+            lines.append(f"has(l{i}, instance_of, lc{i}).")
+            if i:
+                lines.append(f"has(l{i}, is_inside, l{i - 1}).")
+        spatial, diagnostics = self._spatial("\n".join(lines))
+        assert diagnostics == []
+        # Containment closure by saturation, container first, reflexive
+        # because every location matches itself.
+        contains = {(f"l{i}", f"l{i}") for i in range(size)}
+        contains |= {(f"l{i - 1}", f"l{i}") for i in range(1, size)}
+        while True:
+            wider = contains | {(a, d) for a, b in contains for c, d in contains if b == c}
+            if wider == contains:
+                break
+            contains = wider
+        # Identity lifts at high (ma1) and low (ma5, own main class); the
+        # containment facts are high, so each pair holds at both levels.
+        expected = {(a, b, level) for a, b in contains for level in (Confidence.LOW, Confidence.HIGH)}
+        assert set(spatial.atoms()) == expected
+        assert len(spatial) == size * (size + 1)
 
     def test_spatial_atoms_only_between_locations(self, eukaryote_store):
         from kdgraph.taxonomy import is_location_instance
