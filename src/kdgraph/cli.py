@@ -6,7 +6,9 @@ Diagnostics go to stderr as ``LEVEL code message`` lines; the variable
 KDGRAPH_VERBOSITY (quiet | warning | info) filters them.
 
 Exit codes: 0 success, 1 validation failure (cycles, bad fact files, failed
-differential check), 2 usage errors.
+differential check) or an input or output path that cannot be read or
+written (``io-error``; ``missing-input`` when it does not exist), 2 usage
+errors.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .diagnostics import Diagnostic, warn
+from .diagnostics import Diagnostic, error, warn
 from .facts import FactSyntaxError, KnowledgeStore, merge_stores, parse_fact_path
 from .fuzz import random_store
 from .graph import GraphCycleError, UnknownNodeError, rooted_subgraph
@@ -245,8 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except FileNotFoundError as exc:
-        print(f"ERROR missing-input {exc}", file=sys.stderr)
-        return 1
+        failure = error("missing-input", str(exc))
+    except (OSError, UnicodeDecodeError) as exc:
+        failure = error("io-error", str(exc))
     except (
         FactSyntaxError,
         HierarchyCycleError,
@@ -254,9 +257,9 @@ def main(argv: list[str] | None = None) -> int:
         UnknownNodeError,
         QueryError,
     ) as exc:
-        code = type(exc).__name__
-        print(f"ERROR {code} {exc}", file=sys.stderr)
-        return 1
+        failure = error(type(exc).__name__, str(exc))
+    print(failure.render(), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

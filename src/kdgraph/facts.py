@@ -5,8 +5,14 @@ format is one statement per ``has(id, id, id).`` with ``%`` line comments;
 identifiers start with a lowercase letter and contain only lowercase
 letters, digits and underscores.
 
+The parser keeps a single offset into the text.  It counts a statement's
+line as it passes it, and works out an error's line and column from the
+failing offset only when it raises :class:`FactSyntaxError`.
+
 The store has set semantics over the raw triples: re-adding an existing
-triple never grows it, and the provenance of the first insertion wins.
+triple never grows it, and the provenance of the first insertion wins.  It
+indexes facts by slot and by (subject, slot) only, the two lookups the
+engine makes; see :class:`KnowledgeStore`.
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
+# Whitespace and % comments.  Matched on its own: fused with the token that
+# follows, a failed token would backtrack into a comment and end it early.
+_LAYOUT_RE = re.compile(r"(?:\s+|%[^\n]*)*")
 
 Triple = tuple[str, str, str]
 
@@ -79,13 +88,17 @@ class Fact:
 
 
 class KnowledgeStore:
-    """Indexed set of facts with pattern queries over every position."""
+    """Set of facts with pattern queries over every position.
+
+    Besides the facts themselves, two indexes are kept, one per lookup the
+    engine makes: by ``slot`` and by ``(subject, slot)``.  A query with the
+    slot bound reads the narrower of the two; any other query scans every
+    fact.  The engine always binds the slot.
+    """
 
     def __init__(self, facts: Iterable[Fact] = ()):
         self._facts: dict[Triple, Fact] = {}
-        self._by_subject: dict[str, set[Triple]] = {}
         self._by_slot: dict[str, set[Triple]] = {}
-        self._by_value: dict[str, set[Triple]] = {}
         self._by_subject_slot: dict[tuple[str, str], set[Triple]] = {}
         for fact in facts:
             self.add(fact)
@@ -117,9 +130,7 @@ class KnowledgeStore:
         if triple in self._facts:
             return False
         self._facts[triple] = fact
-        self._by_subject.setdefault(fact.subject, set()).add(triple)
         self._by_slot.setdefault(fact.slot, set()).add(triple)
-        self._by_value.setdefault(fact.value, set()).add(triple)
         self._by_subject_slot.setdefault((fact.subject, fact.slot), set()).add(triple)
         return True
 
@@ -135,27 +146,18 @@ class KnowledgeStore:
         value: str | None = None,
     ) -> list[Fact]:
         """Facts matching the bound positions, lexicographically ordered."""
-        if subject is not None and slot is not None:
-            candidates = self._by_subject_slot.get((subject, slot), set())
-        elif subject is not None:
-            candidates = self._by_subject.get(subject, set())
-        elif slot is not None:
-            candidates = self._by_slot.get(slot, set())
-        elif value is not None:
-            candidates = self._by_value.get(value, set())
+        if slot is None:
+            candidates: Iterable[Triple] = self._facts
+        elif subject is None:
+            candidates = self._by_slot.get(slot, ())
         else:
-            candidates = set(self._facts)
-        out = []
-        for triple in candidates:
-            s, p, v = triple
-            if subject is not None and s != subject:
-                continue
-            if slot is not None and p != slot:
-                continue
-            if value is not None and v != value:
-                continue
-            out.append(triple)
-        return [self._facts[t] for t in sorted(out)]
+            candidates = self._by_subject_slot.get((subject, slot), ())
+        hits = [
+            t
+            for t in candidates
+            if (subject is None or t[0] == subject) and (value is None or t[2] == value)
+        ]
+        return [self._facts[t] for t in sorted(hits)]
 
     def values(self, subject: str, slot: str) -> list[str]:
         return [f.value for f in self.query(subject=subject, slot=slot)]
@@ -200,62 +202,44 @@ class KnowledgeStore:
 
 
 class _Scanner:
-    """Character scanner tracking 1-based line/column positions."""
+    """Fact-file scanner whose only state is the offset ``pos`` into ``text``.
+
+    Layout and identifiers are one regex match each.  Line and column are
+    worked out from the offset only when an error is raised.
+    """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos]
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
 
     def skip_layout(self):
         """Skip whitespace and % comments."""
-        while not self.eof():
-            ch = self.peek()
-            if ch.isspace():
-                self.advance()
-            elif ch == "%":
-                while not self.eof() and self.peek() != "\n":
-                    self.advance()
-            else:
-                return
+        self.pos = _LAYOUT_RE.match(self.text, self.pos).end()
 
-    def fail(self, message: str):
-        raise FactSyntaxError(message, self.line, self.col)
+    def fail(self, expected: str, pos: int):
+        text = self.text
+        found = repr(text[pos]) if pos < len(text) else "end of input"
+        line = text.count("\n", 0, pos) + 1
+        raise FactSyntaxError(
+            f"expected {expected}, found {found}", line, pos - text.rfind("\n", 0, pos)
+        )
 
     def expect(self, literal: str):
-        for ch in literal:
-            if self.eof() or self.peek() != ch:
-                found = "end of input" if self.eof() else repr(self.peek())
-                self.fail(f"expected {literal!r}, found {found}")
-            self.advance()
+        text, pos = self.text, self.pos
+        if not text.startswith(literal, pos):
+            # Report the first character that differs.
+            offset = 0
+            while text.startswith(literal[offset], pos + offset):
+                offset += 1
+            self.fail(repr(literal), pos + offset)
+        self.pos = pos + len(literal)
 
     def identifier(self) -> str:
-        if self.eof():
-            self.fail("expected identifier, found end of input")
         match = IDENT_RE.match(self.text, self.pos)
-        if not match or match.start() != self.pos:
-            self.fail(f"expected identifier, found {self.peek()!r}")
-        name = match.group(0)
-        for _ in name:
-            self.advance()
-        return name
+        if match is None:
+            self.fail("identifier", self.pos)
+        self.pos = match.end()
+        return match.group()
 
 
 def parse_fact_file(text: str, filename: str = "<string>") -> KnowledgeStore:
@@ -266,11 +250,13 @@ def parse_fact_file(text: str, filename: str = "<string>") -> KnowledgeStore:
     """
     store = KnowledgeStore()
     scanner = _Scanner(text)
+    line, counted = 1, 0
     while True:
         scanner.skip_layout()
-        if scanner.eof():
+        if scanner.pos == len(text):
             return store
-        line = scanner.line
+        line += text.count("\n", counted, scanner.pos)
+        counted = scanner.pos
         scanner.expect("has")
         scanner.skip_layout()
         scanner.expect("(")
@@ -290,7 +276,7 @@ def parse_fact_file(text: str, filename: str = "<string>") -> KnowledgeStore:
 
 def parse_fact_path(path: str | Path) -> KnowledgeStore:
     path = Path(path)
-    return parse_fact_file(path.read_text(), filename=str(path))
+    return parse_fact_file(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def merge_stores(*stores: KnowledgeStore) -> KnowledgeStore:

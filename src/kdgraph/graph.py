@@ -197,8 +197,8 @@ class DescriptionGraph:
         payload = {"variant": self.variant, **self.json_payload()}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    def to_dot(self, name: str = "kdg") -> str:
-        lines = [f"digraph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["digraph kdg {"]
         for node, kind in sorted(self.nodes.items()):
             lines.append(f'  "{node}" [shape={DOT_SHAPES[kind]}];')
         for edge in self.sorted_edges():

@@ -17,7 +17,7 @@ from .derivation import (
 )
 from .diagnostics import Diagnostic
 from .facts import Fact, KnowledgeStore
-from .graph import DescriptionGraph, NodeKind, build_kdg, build_udg, rooted_subgraph
+from .graph import DescriptionGraph, build_kdg, build_udg, rooted_subgraph
 from .linking import (
     JoinAtom,
     extract_chains,
@@ -34,7 +34,6 @@ from .taxonomy import ClassHierarchy
 class PipelineResult:
     store: KnowledgeStore
     hierarchy: ClassHierarchy
-    typing: dict[str, NodeKind]
     kdg: DescriptionGraph
     kinds: dict[str, EventKind]
     io_relations: list[IORelation]
@@ -107,7 +106,6 @@ def run_pipeline(
     return PipelineResult(
         store=store,
         hierarchy=hierarchy,
-        typing=final_typing,
         kdg=kdg,
         kinds=kinds,
         io_relations=io_relations,

@@ -24,6 +24,7 @@ from .graph import (
 )
 from .resolution import MatchSet
 
+# Longest ordering or importance path, in edges, that an answer follows.
 DEFAULT_PATH_CAP = 8
 
 
@@ -212,10 +213,7 @@ def _component_path(children: dict[str, list[Edge]], top: str, bottom: str) -> l
 
 
 def _ordering_paths(
-    successors: dict[str, list[Edge]],
-    origins: set[str],
-    goals: set[str],
-    cap: int,
+    successors: dict[str, list[Edge]], origins: set[str], goals: set[str]
 ) -> list[list[Edge]]:
     """Simple directed ordering-edge paths from an origin to a goal."""
     paths: list[list[Edge]] = []
@@ -223,7 +221,7 @@ def _ordering_paths(
     def walk(node: str, trail: list[Edge], visited: set[str]):
         if trail and node in goals:
             paths.append(list(trail))
-        if len(trail) >= cap:
+        if len(trail) >= DEFAULT_PATH_CAP:
             return
         for edge in successors.get(node, ()):
             if edge.target in visited:
@@ -235,12 +233,7 @@ def _ordering_paths(
     return paths
 
 
-def how_related(
-    kdg: DescriptionGraph,
-    x: str,
-    y: str,
-    ordering_path_cap: int = DEFAULT_PATH_CAP,
-) -> AnswerStructure:
+def how_related(kdg: DescriptionGraph, x: str, y: str) -> AnswerStructure:
     """Compositional paths from the lowest common containing node(s) plus
     the ordering paths linking the two branches."""
     for node in (x, y):
@@ -279,7 +272,7 @@ def how_related(
                 bucket.update((edge.source, edge.target))
     successors = adjacency(kdg, [EdgeFamily.ORDERING])
     for origins, goals in ((x_nodes, y_nodes), (y_nodes, x_nodes)):
-        for path in _ordering_paths(successors, origins, goals, ordering_path_cap):
+        for path in _ordering_paths(successors, origins, goals):
             for edge in path:
                 include(edge, "ordering-path")
     return AnswerStructure(
@@ -293,17 +286,13 @@ def how_related(
 
 
 def why_important(
-    kdg: DescriptionGraph,
-    store: KnowledgeStore,
-    x: str,
-    y: str,
-    ordering_path_cap: int = DEFAULT_PATH_CAP,
+    kdg: DescriptionGraph, store: KnowledgeStore, x: str, y: str
 ) -> AnswerStructure:
     """The relation answer plus any importance-link path from x to y."""
     for node in (x, y):
         if node not in kdg.nodes:
             raise QueryError(f"unknown node: {node}")
-    related = how_related(kdg, x, y, ordering_path_cap)
+    related = how_related(kdg, x, y)
     successors: dict[str, list[str]] = {}
     for fact in store.query(slot="important"):
         successors.setdefault(fact.subject, []).append(fact.value)
@@ -313,7 +302,7 @@ def why_important(
         if node == y and len(trail) > 1:
             paths.append(list(trail))
             return
-        if len(trail) > ordering_path_cap:
+        if len(trail) > DEFAULT_PATH_CAP:
             return
         for nxt in sorted(successors.get(node, ())):
             if nxt not in trail:

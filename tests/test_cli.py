@@ -108,6 +108,34 @@ class TestValidationFailures:
         code, _, err = _run(capsys, "derive", "no_such_file.facts")
         assert code == 1
 
+    def test_directory_input_is_an_io_error(self, capsys, tmp_path):
+        code, out, err = _run(capsys, "derive", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("ERROR io-error ") and err.count("\n") == 1
+        assert str(tmp_path) in err
+
+    def test_undecodable_input_is_an_io_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.facts"
+        bad.write_bytes(b"has(a, b, c).\n\xff\n")
+        code, out, err = _run(capsys, "derive", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("ERROR io-error ") and err.count("\n") == 1
+        assert "0xff" in err
+
+    def test_directory_output_is_an_io_error(self, capsys, tmp_path, fixtures_dir):
+        code, out, err = _run(
+            capsys, "derive", str(fixtures_dir / "photosynthesis.facts"), "-o", str(tmp_path)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("ERROR io-error ") and err.count("\n") == 1
+
+    def test_directory_patch_is_an_io_error(self, capsys, tmp_path, fixtures_dir):
+        code, _, err = _run(
+            capsys, "link", str(fixtures_dir / "photosynthesis.facts"), "--patch", str(tmp_path)
+        )
+        assert code == 1
+        assert err.startswith("ERROR io-error ") and err.count("\n") == 1
+
     def test_usage_error_exits_two(self, capsys):
         import pytest
 

@@ -61,6 +61,55 @@ class TestParsing:
         assert ("euka_transl4191", "base", "mrna4642") in store
 
 
+# (input, message, line, column) for malformed fact files.
+SYNTAX_ERRORS = [
+    ("hax(a, b, c).", "expected 'has', found 'x'", 1, 3),
+    ("has(a, b, c)", "expected '.', found end of input", 1, 13),
+    ("has(a, b, c)\n", "expected '.', found end of input", 2, 1),
+    ("has(a, B, c).", "expected identifier, found 'B'", 1, 8),
+    ("% note\nhas(a, b c).", "expected ',', found 'c'", 2, 10),
+    ("has(a, b, c). % note\n).", "expected 'has', found ')'", 2, 1),
+    # A comment runs to the end of its line, whatever it contains.
+    ("has(a, b, c).\nhas(a, b%s, c).", "expected ',', found end of input", 2, 16),
+    ("has(a, b, c).\r\nhas(d, e f).\r\n", "expected ',', found 'f'", 2, 10),
+    ("has(a, b, c).\r\nhas(d, e, f)\r\n", "expected '.', found end of input", 3, 1),
+    ("\thas(a,\x0bb,\x0cc)\xa0.\n\t x", "expected 'has', found 'x'", 2, 3),
+    ("\thas(a,\x0bb,\x0cc)\xa0.\u2003x", "expected 'has', found 'x'", 1, 17),
+    ("has(a, b, c). has(d, e, f) has(g, h, i).", "expected '.', found 'h'", 1, 28),
+    ("has (a , b , c ) .has(a-b, c, d).", "expected ',', found '-'", 1, 24),
+    ("has(a, b, c).\nh", "expected 'has', found end of input", 2, 2),
+    ("has(a, b, c).\n  h", "expected 'has', found end of input", 2, 4),
+    ("has(a, b).", "expected ',', found ')'", 1, 9),
+    ("has(a, b, c).\nhas(x, , z).", "expected identifier, found ','", 2, 8),
+]
+
+
+class TestSyntaxErrorPositions:
+    @pytest.mark.parametrize("text, message, line, column", SYNTAX_ERRORS)
+    def test_message_line_and_column(self, text, message, line, column):
+        with pytest.raises(FactSyntaxError) as excinfo:
+            parse_fact_file(text)
+        error = excinfo.value
+        assert (str(error), error.line, error.column) == (
+            f"line {line}, column {column}: {message}",
+            line,
+            column,
+        )
+
+    def test_provenance_line_after_blank_lines_and_comments(self):
+        text = (
+            "\n\n% one\n\thas(a, b, c). % two\n\n"
+            "% has(x, y, z).\r\n  has(d,\n e, f). has(g, h, i).\n\n\nhas(j, k, l)."
+        )
+        store = parse_fact_file(text)
+        assert [(f.triple, f.provenance.line) for f in store.facts()] == [
+            (("a", "b", "c"), 4),
+            (("d", "e", "f"), 7),
+            (("g", "h", "i"), 8),
+            (("j", "k", "l"), 11),
+        ]
+
+
 class TestStore:
     def test_duplicates_collapse(self):
         store = parse_fact_file("has(a, b, c).\nhas(a, b, c).")

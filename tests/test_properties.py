@@ -5,7 +5,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from kdgraph.derivation import derive_first_last_subevents, derive_next_events
-from kdgraph.facts import Fact, KnowledgeStore, parse_fact_file
+from kdgraph.facts import Fact, KnowledgeStore, Provenance, parse_fact_file
 from kdgraph.fuzz import random_store
 from kdgraph.graph import SLOT_FAMILIES, build_udg, rooted_subgraph
 from kdgraph.pipeline import run_pipeline
@@ -15,6 +15,9 @@ from kdgraph.taxonomy import main_classes
 identifiers = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
 triples = st.tuples(identifiers, identifiers, identifiers)
 seeds = st.integers(min_value=0, max_value=2_000)
+# A small alphabet, so that bound positions select several facts.
+few_identifiers = st.sampled_from(["a", "b", "c", "d"])
+few_triples = st.tuples(few_identifiers, few_identifiers, few_identifiers)
 
 
 class TestStoreProperties:
@@ -31,6 +34,22 @@ class TestStoreProperties:
             assert fact in store.query(subject=fact.subject)
             assert fact in store.query(slot=fact.slot)
             assert fact in store.query(value=fact.value)
+
+    @given(st.lists(few_triples, max_size=30), few_triples)
+    def test_query_every_bound_shape(self, rows, probe):
+        store = KnowledgeStore(
+            Fact(s, p, v, Provenance.derived(f"r{i}")) for i, (s, p, v) in enumerate(rows)
+        )
+        for mask in itertools.product((False, True), repeat=3):
+            bound = [part if on else None for part, on in zip(probe, mask)]
+            expected = [
+                f
+                for f in store.facts()
+                if all(b is None or b == part for b, part in zip(bound, f.triple))
+            ]
+            hits = store.query(*bound)
+            assert [f.triple for f in hits] == [f.triple for f in expected]
+            assert all(hit is fact for hit, fact in zip(hits, expected))
 
     @given(st.lists(triples, max_size=30), triples)
     def test_add_derived_monotone(self, rows, extra):
