@@ -7,8 +7,8 @@ KDGRAPH_VERBOSITY (quiet | warning | info) filters them.
 
 Exit codes: 0 success, 1 validation failure (cycles, bad fact files, failed
 differential check) or an input or output path that cannot be read or
-written (``io-error``; ``missing-input`` when it does not exist), 2 usage
-errors.
+written (``io-error``; ``missing-input`` when an input does not exist), 2
+usage errors.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def _cmd_link(args) -> int:
     patches = []
     for chain in result.chains:
         try:
-            facts = synthesize_super_event(result.store, chain)
+            facts = synthesize_super_event(chain, result.containers)
         except ChainError as exc:
             _emit_diagnostics([warn("link-chain-skipped", str(exc))])
             continue
@@ -246,10 +246,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        failure = error("missing-input", str(exc))
-    except (OSError, UnicodeDecodeError) as exc:
-        failure = error("io-error", str(exc))
+    except (OSError, UnicodeError) as exc:
+        # An output path in a directory that does not exist is an io-error.
+        missing = isinstance(exc, FileNotFoundError) and Path(exc.filename) in map(Path, args.inputs)
+        failure = error("missing-input" if missing else "io-error", str(exc))
     except (
         FactSyntaxError,
         HierarchyCycleError,

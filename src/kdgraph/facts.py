@@ -276,7 +276,10 @@ def parse_fact_file(text: str, filename: str = "<string>") -> KnowledgeStore:
 
 def parse_fact_path(path: str | Path) -> KnowledgeStore:
     path = Path(path)
-    return parse_fact_file(path.read_text(encoding="utf-8"), filename=str(path))
+    try:
+        return parse_fact_file(path.read_text(encoding="utf-8"), filename=str(path))
+    except UnicodeDecodeError as exc:
+        raise UnicodeError(f"{path}: {exc}") from exc
 
 
 def merge_stores(*stores: KnowledgeStore) -> KnowledgeStore:

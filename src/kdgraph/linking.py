@@ -17,14 +17,6 @@ from .facts import Fact, KnowledgeStore, Provenance
 from .graph import GraphCycleError, depth_first
 from .resolution import Confidence, MatchSet
 
-EXCLUSION_REASONS = {
-    1: "source joins an event containing the target",
-    2: "an event containing the source joins the target",
-    3: "source contains the target",
-    4: "target contains the source",
-    5: "source and target share a containing event",
-}
-
 _MAX_NAME_LENGTH = 60
 
 
@@ -77,55 +69,57 @@ def filter_joins(atoms: list[JoinAtom], minimum: Confidence) -> list[JoinAtom]:
     ]
 
 
-def subevent_closure(store: KnowledgeStore) -> set[tuple[str, str]]:
-    """Transitive closure of the subevent relation; cycles are errors."""
+def subevent_closure(store: KnowledgeStore) -> dict[str, frozenset[str]]:
+    """Each contained event -> every event containing it, transitively.
+
+    Events under no other event have no entry; cycles are errors.
+    """
     children: dict[str, list[str]] = {}
     for fact in store.query(slot="subevent"):  # sorted, so children are too
         children.setdefault(fact.subject, []).append(fact.value)
     post_order, cycle = depth_first(children, sorted(children))
     if cycle:
         raise GraphCycleError(cycle)
-    # Post-order finishes every child before its parent.
-    closure: dict[str, set[str]] = {}
-    for node in post_order:
-        reachable: set[str] = set()
+    # Reversed post-order reaches every parent before its children.
+    containers: dict[str, frozenset[str]] = {}
+    for node in reversed(post_order):
+        above = containers.get(node, frozenset()) | {node}
         for child in children.get(node, ()):
-            reachable.add(child)
-            reachable |= closure[child]
-        closure[node] = reachable
-    return {(anc, desc) for anc, descs in closure.items() for desc in descs}
-
-
-def _ancestors(closure: set[tuple[str, str]]) -> dict[str, set[str]]:
-    """Descendant -> its ancestors, from ``subevent_closure`` pairs."""
-    ancestors: dict[str, set[str]] = {}
-    for anc, desc in closure:
-        ancestors.setdefault(desc, set()).add(anc)
-    return ancestors
+            containers[child] = containers[child] | above if child in containers else above
+    return containers
 
 
 def possible_next_events(
-    join_atoms: list[JoinAtom], closure: set[tuple[str, str]]
+    join_atoms: list[JoinAtom], containers: dict[str, frozenset[str]]
 ) -> tuple[list[tuple[str, str]], dict[tuple[str, str], list[int]]]:
     """Joins surviving the containment exclusions, plus why the rest fell.
+
+    A join from ``a`` to ``b`` is excluded with every code that holds:
+
+    1. ``a`` joins an event containing ``b``;
+    2. an event containing ``a`` joins ``b``;
+    3. ``a`` contains ``b``;
+    4. ``b`` contains ``a``;
+    5. ``a`` and ``b`` share a containing event.
 
     Returns (surviving ordered pairs, rejected pair -> exclusion codes).
     """
     joined = {(a.source, a.target) for a in join_atoms}
-    ancestors = _ancestors(closure)
     survivors = []
     excluded: dict[tuple[str, str], list[int]] = {}
     for a, b in sorted(joined):
+        above_a = containers.get(a, frozenset())
+        above_b = containers.get(b, frozenset())
         reasons = []
-        if any((a, anc_b) in joined for anc_b in ancestors.get(b, ())):
+        if any((a, c) in joined for c in above_b):
             reasons.append(1)
-        if any((anc_a, b) in joined for anc_a in ancestors.get(a, ())):
+        if any((c, b) in joined for c in above_a):
             reasons.append(2)
-        if (a, b) in closure:
+        if a in above_b:
             reasons.append(3)
-        if (b, a) in closure:
+        if b in above_a:
             reasons.append(4)
-        if ancestors.get(a, set()) & ancestors.get(b, set()):
+        if not above_a.isdisjoint(above_b):
             reasons.append(5)
         if reasons:
             excluded[(a, b)] = reasons
@@ -203,23 +197,23 @@ class ChainError(ValueError):
 
 
 def synthesize_super_event(
-    store: KnowledgeStore, chain: list[str]
+    chain: list[str], containers: dict[str, frozenset[str]]
 ) -> list[Fact]:
     """Facts introducing a fresh parent event over a recovered chain.
 
     The chain members become its subevents in order; the name is a stable
     function of the member names.  Chains shorter than two and members
-    already sharing containment raise :class:`ChainError`.
+    already sharing containment in ``containers`` raise :class:`ChainError`.
     """
     if len(chain) < 2:
         raise ChainError("a super event needs a chain of at least two events")
-    closure = subevent_closure(store)
-    ancestors = _ancestors(closure)
     for i, member in enumerate(chain):
+        above_member = containers.get(member, frozenset())
         for other in chain[i + 1:]:
-            if (member, other) in closure or (other, member) in closure:
+            above_other = containers.get(other, frozenset())
+            if member in above_other or other in above_member:
                 raise ChainError(f"{member} and {other} already share a subevent path")
-            if ancestors.get(member, set()) & ancestors.get(other, set()):
+            if not above_member.isdisjoint(above_other):
                 raise ChainError(f"{member} and {other} already share a parent event")
     name = super_event_name(chain)
     provenance = Provenance.derived("synthesis")

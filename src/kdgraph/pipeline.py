@@ -44,6 +44,7 @@ class PipelineResult:
     possible_next_events: list[tuple[str, str]]
     exclusions: dict[tuple[str, str], list[int]]
     chains: list[list[str]]
+    containers: dict[str, frozenset[str]]
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
@@ -99,8 +100,8 @@ def run_pipeline(
     join_atoms = joins(store, matches, spatial)
     if min_join_confidence is not None:
         join_atoms = filter_joins(join_atoms, min_join_confidence)
-    closure = subevent_closure(store)
-    survivors, exclusions = possible_next_events(join_atoms, closure)
+    containers = subevent_closure(store)
+    survivors, exclusions = possible_next_events(join_atoms, containers)
     chains = extract_chains(survivors, diagnostics)
 
     return PipelineResult(
@@ -116,5 +117,6 @@ def run_pipeline(
         possible_next_events=survivors,
         exclusions=exclusions,
         chains=chains,
+        containers=containers,
         diagnostics=diagnostics,
     )

@@ -315,7 +315,7 @@ def test_criterion_7_invariant_suites():
 def test_criterion_8_super_event_round_trip(eukaryote_store):
     result = run_pipeline(eukaryote_store)
     chain = ["synthesis_of_rna_in_eukaryote", "eukaryotic_translation"]
-    patch = synthesize_super_event(result.store, chain)
+    patch = synthesize_super_event(chain, result.containers)
     merged = result.store.copy()
     for fact in patch:
         merged.add(fact)

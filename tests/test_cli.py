@@ -107,6 +107,25 @@ class TestValidationFailures:
     def test_missing_file_exits_one(self, capsys):
         code, _, err = _run(capsys, "derive", "no_such_file.facts")
         assert code == 1
+        assert err.startswith("ERROR missing-input ")
+
+    def test_output_in_missing_directory_is_an_io_error(self, capsys, tmp_path, fixtures_dir):
+        out_path = tmp_path / "nodir" / "out.facts"
+        code, out, err = _run(
+            capsys, "derive", str(fixtures_dir / "photosynthesis.facts"), "-o", str(out_path)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("ERROR io-error ") and err.count("\n") == 1
+        assert str(out_path) in err
+
+    def test_patch_in_missing_directory_is_an_io_error(self, capsys, tmp_path, fixtures_dir):
+        patch = tmp_path / "nodir" / "p.facts"
+        code, _, err = _run(
+            capsys, "link", str(fixtures_dir / "photosynthesis.facts"), "--patch", str(patch)
+        )
+        assert code == 1
+        assert err.startswith("ERROR io-error ") and err.count("\n") == 1
+        assert str(patch) in err
 
     def test_directory_input_is_an_io_error(self, capsys, tmp_path):
         code, out, err = _run(capsys, "derive", str(tmp_path))
@@ -121,6 +140,7 @@ class TestValidationFailures:
         assert (code, out) == (1, "")
         assert err.startswith("ERROR io-error ") and err.count("\n") == 1
         assert "0xff" in err
+        assert str(bad) in err
 
     def test_directory_output_is_an_io_error(self, capsys, tmp_path, fixtures_dir):
         code, out, err = _run(

@@ -1,6 +1,7 @@
 """Property suites over generated stores and graphs."""
 
 import itertools
+from string import ascii_lowercase, digits
 
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +13,10 @@ from kdgraph.pipeline import run_pipeline
 from kdgraph.resolution import Confidence, min_confidence
 from kdgraph.taxonomy import main_classes
 
-identifiers = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
+# The language [a-z][a-z0-9_]{0,8}; st.from_regex draws it ~10x slower.
+identifiers = st.builds(
+    str.__add__, st.sampled_from(ascii_lowercase), st.text(ascii_lowercase + digits + "_", max_size=8)
+)
 triples = st.tuples(identifiers, identifiers, identifiers)
 seeds = st.integers(min_value=0, max_value=2_000)
 # A small alphabet, so that bound positions select several facts.
