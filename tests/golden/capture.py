@@ -8,7 +8,10 @@ through the CLI; ``witnesses.txt`` records those of ``subevent_closure``
 and ``ClassHierarchy.from_store`` called directly.  The ``ladder`` cases
 read ``inputs/ladder.facts``, written once from ``bench/workloads.ladder(3)``:
 its multi-level pairs and long witness chains fix the order in which the
-match closure finds its atoms.
+match closure finds its atoms.  ``io_chain.derive.json`` reads
+``inputs/io_chain.facts``: two twelve-deep subevent chains, one whose
+parents sort before their children and one whose parents sort after, fix
+the rule id that IO propagation records for each copied or direct IO fact.
 
 ``models.txt`` holds one digest per rule-program model: the asserted facts
 of each fixture and of ``fuzz.random_store(seed)`` for seeds 0-99 are
@@ -132,6 +135,7 @@ def cases() -> dict[str, list[str]]:
     table["ladder.resolve"] = ["resolve", ladder]
     table["ladder.link.patch"] = ["link", ladder, "--patch", PATCH]
     table["ladder.derive.json"] = ["derive", ladder, "--format", "json"]
+    table["io_chain.derive.json"] = ["derive", f"{INPUTS}/io_chain.facts", "--format", "json"]
     return table
 
 
