@@ -9,6 +9,8 @@ Stages run in a fixed order, each one only adding facts to the store:
 4. transport vs. operational classification from the class hierarchy,
 5. direct IO relations per the slot table,
 6. fixpoint propagation of IO relations through first/last subevents,
+   in the order of naive rounds but re-running only the steps whose
+   inputs changed, and each only on the facts it has not yet seen,
 7. default output locations for events that have none.
 
 Re-running any stage after completion adds nothing.
@@ -16,6 +18,8 @@ Re-running any stage after completion adds nothing.
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -203,21 +207,15 @@ def derive_first_last_subevents(
             m: sorted(v for v in store.values(m, "next_event") if v in members and v != m)
             for m in members
         }
-        firsts, lasts = [], []
+        predecessors = Counter(nxt for nexts in successors.values() for nxt in nexts)
         for member in sorted(members):
-            has_predecessor = any(
-                member in successors[other] for other in members if other != member
-            )
-            has_successor = any(v != member for v in successors[member])
-            if not has_predecessor:
-                firsts.append(member)
+            if not predecessors[member]:
                 if derived := store.add_derived(parent, "first_subevent", member, "e5"):
                     added.add(derived)
-            if not has_successor:
-                lasts.append(member)
+            if not successors[member]:
                 if derived := store.add_derived(parent, "last_subevent", member, "e6"):
                     added.add(derived)
-        if len(members) >= 2 and not _is_simple_chain(members, successors):
+        if len(members) >= 2 and not _is_simple_chain(members, successors, predecessors):
             _diag(
                 diagnostics,
                 warn(
@@ -228,16 +226,14 @@ def derive_first_last_subevents(
     return added
 
 
-def _is_simple_chain(members: set[str], successors: dict[str, list[str]]) -> bool:
+def _is_simple_chain(
+    members: set[str], successors: dict[str, list[str]], predecessors: Counter[str]
+) -> bool:
     if any(len(nexts) > 1 for nexts in successors.values()):
         return False
-    predecessor_count = {m: 0 for m in members}
-    for nexts in successors.values():
-        for nxt in nexts:
-            predecessor_count[nxt] += 1
-    if any(count > 1 for count in predecessor_count.values()):
+    if any(count > 1 for count in predecessors.values()):
         return False
-    sources = [m for m in members if predecessor_count[m] == 0]
+    sources = [m for m in members if not predecessors[m]]
     if len(sources) != 1:
         return False
     seen = set()
@@ -268,27 +264,45 @@ def _io_table(kind: EventKind) -> dict[str, list[tuple[str, str]]]:
     return TRANSPORT_IO if kind is EventKind.TRANSPORT else OPERATIONAL_IO
 
 
-def _apply_direct_io(
-    store: KnowledgeStore, kinds: dict[str, EventKind], relations: list[IORelation]
-) -> bool:
-    changed = False
-    for event, kind in sorted(kinds.items()):
-        for slot, roles in sorted(_io_table(kind).items()):
-            for value in store.values(event, slot):
-                for role, rule in roles:
-                    if store.add_derived(event, role, value, rule):
-                        changed = True
-                    relations.append(IORelation(event, role, value, slot))
-    return changed
-
-
 def derive_io_relations(
     store: KnowledgeStore, kinds: dict[str, EventKind]
 ) -> list[IORelation]:
     """Map concrete slots to abstract IO facts for every event."""
-    relations: list[IORelation] = []
-    _apply_direct_io(store, kinds, relations)
-    return sorted(set(relations), key=lambda r: (r.event, r.role, r.value, r.via_slot))
+    relations: set[IORelation] = set()
+    for event, kind in sorted(kinds.items()):
+        for slot, roles in sorted(_io_table(kind).items()):
+            for value in store.values(event, slot):
+                for role, rule in roles:
+                    store.add_derived(event, role, value, rule)
+                    relations.add(IORelation(event, role, value, slot))
+    return sorted(relations, key=lambda r: (r.event, r.role, r.value, r.via_slot))
+
+
+# What one propagation step reads, by the kind of the event it writes:
+# slot -> (rank of the slot within the step, the (slot written, rule id)
+# pairs each value of it yields).
+_Reads = dict[str, tuple[int, list[tuple[str, str]]]]
+
+
+def _copy_reads(copies: list[tuple[str, EventKind | None, str]], kind: EventKind) -> _Reads:
+    return {
+        slot: (rank, [(slot, rule)])
+        for rank, (slot, gate, rule) in enumerate(copies)
+        if gate is None or gate is kind
+    }
+
+
+_DIRECT_READS: dict[EventKind, _Reads] = {
+    kind: {slot: (rank, roles) for rank, (slot, roles) in enumerate(sorted(_io_table(kind).items()))}
+    for kind in EventKind
+}
+_BOUNDARY_READS: list[tuple[str, dict[EventKind, _Reads]]] = [
+    (boundary_slot, {kind: _copy_reads(copies, kind) for kind in EventKind})
+    for boundary_slot, copies in (
+        ("first_subevent", _FIRST_SLOT_COPIES),
+        ("last_subevent", _LAST_SLOT_COPIES),
+    )
+]
 
 
 def propagate_io(
@@ -298,33 +312,66 @@ def propagate_io(
 
     Input-side relations flow from the first subevent, output-side from
     the last; concrete slots are copied only when they are IO slots for
-    the parent's own kind.  Direct IO mapping re-runs inside the loop so
-    copied slots immediately yield their abstract relations.
+    the parent's own kind.  Direct IO mapping runs between the copies, so
+    copied slots yield their abstract relations.
+
+    The schedule is that of naive rounds.  A round is a sequence of steps:
+    direct IO for each event in sorted order, then a copy from each first
+    subevent, then from each last subevent, in fact order; rounds repeat
+    until one adds nothing.  A step reads fixed (subject, slot) keys: the
+    event's IO-table slots, or the child's copy slots.  It attempts only
+    the facts that reached those keys since it last ran, and is skipped
+    when none did: a fact it saw before was attempted then, so attempting
+    it again would only meet triples already present.  The insertions, and
+    with them the rule id of every derived fact, are therefore those of
+    the naive rounds, at a cost of each derived fact times the steps that
+    read it.  Pending steps sit in a heap keyed by (round, position), so a
+    step that gains input earlier in its own round still runs in that
+    round.  Every run follows an insertion, so this ends on an asserted
+    ``last_subevent`` cycle too.
     """
-    before = store.triples()
-    while True:
-        changed = _apply_direct_io(store, kinds, [])
-        for boundary_slot, copies in (
-            ("first_subevent", _FIRST_SLOT_COPIES),
-            ("last_subevent", _LAST_SLOT_COPIES),
-        ):
-            for fact in store.query(slot=boundary_slot):
-                parent, child = fact.subject, fact.value
-                parent_kind = kinds.get(parent, EventKind.OPERATIONAL)
-                for slot, gate, rule in copies:
-                    if gate is not None and gate is not parent_kind:
-                        continue
-                    for child_fact in store.query(subject=child, slot=slot):
-                        # Defaulted output locations live outside the
-                        # propagation fixpoint; copying them would make a
-                        # completed store derive more on a re-run.
-                        if child_fact.provenance.rule == DEFAULT_OUTPUT_RULE:
-                            continue
-                        if store.add_derived(parent, slot, child_fact.value, rule):
-                            changed = True
-        if not changed:
-            break
-    return {f for f in store.facts() if f.triple not in before}
+    # Steps in round order, as (subject written, subject read, reads).
+    steps: list[tuple[str, str, _Reads]] = [
+        (event, event, _DIRECT_READS[kind]) for event, kind in sorted(kinds.items())
+    ]
+    for boundary_slot, reads_by_kind in _BOUNDARY_READS:
+        for fact in store.query(slot=boundary_slot):
+            parent_kind = kinds.get(fact.subject, EventKind.OPERATIONAL)
+            steps.append((fact.subject, fact.value, reads_by_kind[parent_kind]))
+
+    readers: dict[tuple[str, str], list[int]] = defaultdict(list)
+    for position, (_, source, reads) in enumerate(steps):
+        for slot in reads:
+            readers[source, slot].append(position)
+    pending: dict[int, list[Fact]] = {}  # step -> facts it has not attempted
+    for slot in {slot for _, slot in readers}:
+        for fact in store.query(slot=slot):
+            # Defaulted output locations live outside the propagation
+            # fixpoint; copying them would make a completed store derive
+            # more on a re-run.
+            if fact.provenance.rule == DEFAULT_OUTPUT_RULE:
+                continue
+            for reader in readers.get((fact.subject, slot), ()):
+                pending.setdefault(reader, []).append(fact)
+    queue = [(0, position) for position in sorted(pending)]
+
+    added: set[Fact] = set()
+    while queue:
+        round_, position = heapq.heappop(queue)
+        target, _, reads = steps[position]
+        for fact in sorted(pending.pop(position), key=lambda f: (reads[f.slot][0], f.value)):
+            for slot, rule in reads[fact.slot][1]:
+                derived = store.add_derived(target, slot, fact.value, rule)
+                if derived is None:
+                    continue
+                added.add(derived)
+                for reader in readers.get((target, slot), ()):
+                    if reader not in pending:
+                        pending[reader] = []
+                        later = round_ if reader > position else round_ + 1
+                        heapq.heappush(queue, (later, reader))
+                    pending[reader].append(derived)
+    return added
 
 
 def default_output_location(store: KnowledgeStore) -> set[Fact]:

@@ -4,6 +4,10 @@ Generated stores stay inside the envelope the differential suite expects:
 at most 30 instances, a class hierarchy at most 5 levels deep, at most 60
 facts, no superclass cycles and no structural cycles.  Identifiers never
 double as both class and instance.
+
+:func:`chain_store` builds one adversarial shape outside that envelope: a
+deep ``subevent`` chain, for probing how derivation and resolution scale
+with depth.
 """
 
 from __future__ import annotations
@@ -134,3 +138,28 @@ def random_store(seed: int) -> KnowledgeStore:
             b.add(inner, b.pick(["is_inside", "part_of"]), outer)
 
     return b.store
+
+
+def chain_store(depth: int, io: bool = False) -> KnowledgeStore:
+    """A ``subevent`` chain ev0 > ev1 > ... of ``depth`` events.
+
+    Event ``evI`` is the one instance of its own class ``evclsI``, a
+    subclass of ``event``.  With ``io``, the deepest event also has one
+    ``object`` fact, which IO propagation lifts through every level.
+    """
+    store = KnowledgeStore()
+    line = 0
+
+    def add(subject: str, slot: str, value: str):
+        nonlocal line
+        line += 1
+        store.add(Fact(subject, slot, value, Provenance.asserted("<chain>", line)))
+
+    for i in range(depth):
+        add(f"evcls{i}", "superclass", "event")
+        add(f"ev{i}", "instance_of", f"evcls{i}")
+        if i:
+            add(f"ev{i - 1}", "subevent", f"ev{i}")
+    if io and depth:
+        add(f"ev{depth - 1}", "object", "cargo")
+    return store

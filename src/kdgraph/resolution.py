@@ -206,12 +206,21 @@ def match_instances(
         for a in cloners:
             for b in cloners:
                 matches.add_base(a, b, Confidence.MEDIUM, "ma4")
-    for a in instances:
-        for b in instances:
-            if not mains[a].isdisjoint(above[b]):
-                matches.add_base(a, b, Confidence.HIGH, "ma3")
-            if mains[a] & mains[b]:
-                matches.add_base(a, b, Confidence.LOW, "ma5")
+    # ma3 and ma5 pair a with b when a main class of a is above, or among,
+    # the main classes of b; index instances by main class to reach them.
+    holders: dict[str, list[str]] = defaultdict(list)
+    for inst in instances:
+        for cls in mains[inst]:
+            holders[cls].append(inst)
+
+    def holding(classes: frozenset[str]) -> list[str]:
+        return sorted({a for cls in classes for a in holders.get(cls, ())})
+
+    for b in instances:
+        for a in holding(above[b]):
+            matches.add_base(a, b, Confidence.HIGH, "ma3")
+        for a in holding(mains[b]):
+            matches.add_base(a, b, Confidence.LOW, "ma5")
 
     _close_under_chaining(matches, distinct=True)
     return matches

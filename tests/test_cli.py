@@ -72,6 +72,24 @@ class TestDerive:
             "WARNING untyped-node l1 could not be typed"
         ]
 
+    def test_last_subevent_cycle_terminates(self, capsys, tmp_path):
+        # last_subevent is in no edge family, so no acyclicity check sees
+        # this cycle; IO propagation must still reach its fixpoint.
+        path = tmp_path / "last_cycle.facts"
+        path.write_text(
+            "has(a, instance_of, event).\nhas(b, instance_of, event).\n"
+            "has(x, instance_of, entity).\n"
+            "has(a, last_subevent, b).\nhas(b, last_subevent, a).\n"
+            "has(a, result, x).\n"
+        )
+        code, out, _ = _run(capsys, "derive", str(path))
+        assert code == 0
+        assert out.splitlines() == [
+            "has(a, output, x). % derived by i4",
+            "has(b, output, x). % derived by i19",
+            "has(b, result, x). % derived by i22",
+        ]
+
     def test_quiet_verbosity_suppresses_diagnostics(self, capsys, monkeypatch, fixtures_dir):
         monkeypatch.setenv("KDGRAPH_VERBOSITY", "quiet")
         code, _, err = _run(capsys, "derive", str(fixtures_dir / "eukaryote.facts"))

@@ -1,3 +1,5 @@
+import time
+
 from kdgraph.derivation import (
     EventKind,
     IORelation,
@@ -10,6 +12,7 @@ from kdgraph.derivation import (
     propagate_io,
 )
 from kdgraph.facts import parse_fact_file
+from kdgraph.fuzz import chain_store
 from kdgraph.graph import NodeKind, build_udg
 from kdgraph.pipeline import run_pipeline
 from kdgraph.taxonomy import ClassHierarchy
@@ -373,3 +376,31 @@ class TestStageAlgebra:
         default_output_location(store)
         sizes.append(len(store))
         assert sizes == sorted(sizes)
+
+
+class TestDeepChainProbes:
+    """The deep ``subevent`` chain: IO propagation and the match base
+    clauses used to cost the square of its depth (tens of seconds at
+    these sizes)."""
+
+    LIMIT_S = 1.0
+
+    @staticmethod
+    def _fastest_run(depth: int, io: bool) -> float:
+        """Fastest of up to three runs, stopping at the first under the
+        limit, so that load from elsewhere on the host does not count."""
+        fastest = float("inf")
+        for _ in range(3):
+            store = chain_store(depth, io=io)
+            start = time.perf_counter()
+            run_pipeline(store)
+            fastest = min(fastest, time.perf_counter() - start)
+            if fastest < TestDeepChainProbes.LIMIT_S:
+                break
+        return fastest
+
+    def test_io_through_1000_levels(self):
+        assert self._fastest_run(1000, io=True) < self.LIMIT_S
+
+    def test_3001_event_chain(self):
+        assert self._fastest_run(3001, io=False) < self.LIMIT_S

@@ -184,6 +184,12 @@ class TestDifferential:
         report = differential_check(random_store(42), program)
         assert report.passed, report.to_text()
 
+    def test_deep_io_chain_probe(self, program):
+        from kdgraph.fuzz import chain_store
+
+        report = differential_check(chain_store(100, io=True), program)
+        assert report.passed, report.to_text()
+
 
 def _one_stratum(*clauses: Clause) -> RuleProgram:
     rules = [RuleDef(f"r{i}", "r", (clause,)) for i, clause in enumerate(clauses)]
