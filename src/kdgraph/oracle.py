@@ -298,6 +298,9 @@ class _Plan:
                         search(depth + 1)
 
         search(0)
+        # search's closure holds search itself; unbinding it breaks that
+        # cycle, which would keep db alive until a full collection.
+        search = None
         return found
 
 

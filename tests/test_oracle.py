@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -127,6 +129,19 @@ class TestEvaluation:
         assert model_a.size() == model_b.size()
         assert model_a.atoms("match_with", 3) == model_b.atoms("match_with", 3)
         assert model_a.has_pairs("output_location") == model_b.has_pairs("output_location")
+
+    def test_database_freed_without_cycle_collection(self, program, photosynthesis_store):
+        # A reference cycle through the evaluation would keep each model's
+        # rows alive until a full collection, so peak memory would depend
+        # on when one runs.
+        model = program.evaluate(fact_base_from_store(photosynthesis_store))
+        database = weakref.ref(model._db)
+        gc.disable()
+        try:
+            del model
+            assert database() is None
+        finally:
+            gc.enable()
 
 
 class TestDifferential:
