@@ -293,7 +293,9 @@ def _copy_reads(copies: list[tuple[str, EventKind | None, str]], kind: EventKind
 
 
 _DIRECT_READS: dict[EventKind, _Reads] = {
-    kind: {slot: (rank, roles) for rank, (slot, roles) in enumerate(sorted(_io_table(kind).items()))}
+    kind: {
+        slot: (rank, roles) for rank, (slot, roles) in enumerate(sorted(_io_table(kind).items()))
+    }
     for kind in EventKind
 }
 _BOUNDARY_READS: list[tuple[str, dict[EventKind, _Reads]]] = [
