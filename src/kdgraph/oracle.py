@@ -18,14 +18,19 @@ nothing.
 Each clause is compiled once per program into a fixed join plan: its
 variables are numbered, its body atoms ordered, and each atom reduced to a
 storage key and per-position compare/bind operations over one flat binding
-list.  Evaluation is naive: every stratum re-runs all of its clauses in
-rounds until a round adds nothing, and a round already sees the heads that
-its earlier clauses added.
+list.  Evaluation is naive, not semi-naive: every stratum runs its clauses
+in rounds until a round adds nothing, a round already sees the heads that
+its earlier clauses added, and a clause that runs joins the full relations.
+A clause is skipped only when no storage key it reads has changed since it
+last ran in this evaluation.  Its heads depend only on the rows under those
+keys and the database only grows, so it could only re-derive heads already
+stored: the successful additions, the rounds and the model are those of
+re-running every clause, and the closing re-pass runs only the clauses that
+could still add an atom.
 
 The default-output-location rule derives a dedicated predicate instead of
 writing output_location directly, keeping the program stratified; readers
-take the union.  Differences on the output-location family are therefore
-reported in a whitelisted channel by the differential check.
+take the union.
 """
 
 from __future__ import annotations
@@ -85,11 +90,16 @@ def _row(atom: Atom) -> tuple:
 
 _NO_ROWS: frozenset = frozenset()
 
+# Pseudo-key that a has-atom with a variable slot reads: it changes with
+# every has-key, including keys that appear for the first time.
+_ANY_HAS = ("has",)
+
 
 class Database:
     def __init__(self):
         self._rows: dict[tuple, set[tuple]] = {}
         self._by_first: dict[tuple, dict[str, set[tuple]]] = {}
+        self._changed_at: dict[tuple, int] = {}
         self.global_version = 0
 
     def add(self, key: tuple, row: tuple) -> bool:
@@ -99,7 +109,15 @@ class Database:
         rows.add(row)
         self._by_first.setdefault(key, {}).setdefault(row[0], set()).add(row)
         self.global_version += 1
+        self._changed_at[key] = self.global_version
+        if key[0] == "has":
+            self._changed_at[_ANY_HAS] = self.global_version
         return True
+
+    def changed_since(self, keys: tuple[tuple, ...], version: int) -> bool:
+        """Whether a row was added under any of ``keys`` after ``version``."""
+        changed_at = self._changed_at
+        return any(changed_at.get(key, 0) > version for key in keys)
 
     def rows(self, key: tuple) -> set[tuple]:
         return self._rows.get(key, _NO_ROWS)
@@ -230,7 +248,9 @@ class _Plan:
     variables are bound, so it is made once here.  Each ``neq`` guard and
     negated atom runs as a filter as soon as its variables are bound;
     variables occurring only under negation are existential and bind
-    fresh.  The head is a projection of the bindings.
+    fresh.  The head is a projection of the bindings.  ``reads`` holds the
+    storage keys of the positive and negated atoms, ``_ANY_HAS`` for a
+    has-atom whose slot is a variable.
     """
 
     def __init__(self, clause: Clause):
@@ -264,6 +284,8 @@ class _Plan:
         for atom in clause.neg:
             visible = {t for t in atom[1:] if t in bound}
             self.negated[depth(atom[1:])].append(_CompiledAtom(atom, index, visible))
+        body = clause.pos + clause.neg
+        self.reads = tuple(dict.fromkeys(_key(atom) or _ANY_HAS for atom in body))
         self.size = len(index)
         self.head_key = _key(clause.head)
         self.head_slot = term(clause.head[2]) if self.head_key is None else None
@@ -366,21 +388,36 @@ class RuleProgram:
             if key is None:
                 raise EvaluationError(f"unresolved base atom {atom}")
             db.add(key, _row(atom))
-        self._run_strata(db)
+        ran_at: dict[_Plan, int] = {}
+        self._run_strata(db, ran_at)
         before = db.size()
-        self._run_strata(db)
+        self._run_strata(db, ran_at)
         if db.size() != before:
             raise EvaluationError(
                 "stratified evaluation is not a fixpoint of the full program"
             )
         return Model(db)
 
-    def _run_strata(self, db: Database):
+    def _run_strata(self, db: Database, ran_at: dict[_Plan, int]):
+        """Run each stratum in rounds until a round adds nothing.
+
+        ``ran_at`` maps a plan to the database version at its last run in
+        this evaluation; it is kept per evaluation because one program
+        serves many databases.  A plan none of whose ``reads`` changed since
+        then is skipped: the rows it would join are the ones it joined, and
+        every head it found then was added right after.  So the skip leaves
+        the sequence of successful additions, and with it the rounds and the
+        model, exactly as re-running every plan would.
+        """
         for plans in self._plans:
             last_seen = -1
             while db.global_version != last_seen:
                 last_seen = db.global_version
                 for plan in plans:
+                    version = ran_at.get(plan)
+                    if version is not None and not db.changed_since(plan.reads, version):
+                        continue
+                    ran_at[plan] = db.global_version
                     # Materialize before inserting: additions must not feed
                     # the iteration that produced them mid-flight.
                     for key, row in plan.heads(db):
@@ -761,7 +798,6 @@ _HAS_FAMILIES = [
     "first_subevent", "last_subevent", "next_event",
     "input", "output", "input_location", "output_location",
 ]
-_WHITELISTED_FAMILIES = frozenset({"output_location"})
 
 
 @dataclass
@@ -772,17 +808,8 @@ class DifferentialReport:
     def passed(self) -> bool:
         return all(
             not only_engine and not only_oracle
-            for family, (only_engine, only_oracle) in self.families.items()
-            if family not in _WHITELISTED_FAMILIES
+            for only_engine, only_oracle in self.families.values()
         )
-
-    @property
-    def whitelisted(self) -> dict[str, tuple[list, list]]:
-        return {
-            family: diff
-            for family, diff in self.families.items()
-            if family in _WHITELISTED_FAMILIES and (diff[0] or diff[1])
-        }
 
     def to_text(self) -> str:
         lines = []
@@ -791,9 +818,8 @@ class DifferentialReport:
             if not only_engine and not only_oracle:
                 lines.append(f"{family}: ok")
                 continue
-            marker = " (whitelisted)" if family in _WHITELISTED_FAMILIES else ""
             lines.append(f"{family}: {len(only_engine)} engine-only, "
-                         f"{len(only_oracle)} oracle-only{marker}")
+                         f"{len(only_oracle)} oracle-only")
             for row in only_engine:
                 lines.append(f"  engine only: {row}")
             for row in only_oracle:
