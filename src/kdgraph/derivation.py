@@ -126,6 +126,10 @@ def infer_event_typing(
         elif edge.slot == "superclass":
             class_nodes.add(edge.source)
             class_nodes.add(edge.target)
+    # last_subevent is an auxiliary slot, not an edge.
+    for fact in store.query(slot="last_subevent"):
+        mark(event_reasons, fact.subject, "t22")
+        mark(event_reasons, fact.value, "t23")
 
     for node in sorted(udg.nodes):
         for cls in store.values(node, "instance_of"):

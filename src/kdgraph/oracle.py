@@ -494,6 +494,10 @@ def encode_program() -> RuleProgram:
                                   (_has("E", "first_subevent", "X"),))]),
         _rule("t16", "t", [Clause(_has("E", "instance_of", "event"),
                                   (_has("X", "first_subevent", "E"),))]),
+        _rule("t22", "t", [Clause(_has("E", "instance_of", "event"),
+                                  (_has("E", "last_subevent", "X"),))]),
+        _rule("t23", "t", [Clause(_has("E", "instance_of", "event"),
+                                  (_has("X", "last_subevent", "E"),))]),
         _rule("t17", "t", [Clause(_has("E", "instance_of", "entity"),
                                   (_has("E", "instance_of", "C"),
                                    _has("C", "ancestorclass", "entity")))],
@@ -753,7 +757,7 @@ def encode_program() -> RuleProgram:
         ["t3", "t8", "t11", "e1", "ev1", "m1", "lc1", "lc3", "lc4", "lc5", "lc6", "lc7"],
         ["t6", "t7", "lc2"],
         ["t1", "t2", "t4", "t5", "t9", "t10", "t12", "t13", "t14", "t15", "t16",
-         "t17", "t18", "t19", "t20", "t21", "e2"],
+         "t17", "t18", "t19", "t20", "t21", "t22", "t23", "e2"],
         ["e3", "e4"],
         ["e5", "e6"],
         ["ev2"],

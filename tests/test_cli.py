@@ -1,6 +1,35 @@
 import json
 
+import pytest
+
 from kdgraph.cli import main
+
+# Stores whose only event evidence for ``p`` is an asserted last_subevent
+# fact; IO copied up from ``c`` must not reach an untyped parent.
+LAST_SUBEVENT_STORES = {
+    "result": (
+        "has(p, last_subevent, c).\nhas(c, result, x).\n",
+        [
+            "has(c, instance_of, event). % derived by t9",
+            "has(c, output, x). % derived by i4",
+            "has(p, instance_of, event). % derived by t22",
+            "has(p, output, x). % derived by i19",
+            "has(p, result, x). % derived by i22",
+            "has(x, instance_of, entity). % derived by t18",
+        ],
+    ),
+    "destination": (
+        "has(p, last_subevent, c).\nhas(c, destination, l).\n",
+        [
+            "has(c, instance_of, event). % derived by t9",
+            "has(c, output_location, l). % derived by i24",
+            "has(l, instance_of, entity). % derived by t18",
+            "has(p, destination, l). % derived by i23",
+            "has(p, instance_of, event). % derived by t22",
+            "has(p, output_location, l). % derived by i20",
+        ],
+    ),
+}
 
 
 def _run(capsys, *argv):
@@ -89,6 +118,16 @@ class TestDerive:
             "has(b, output, x). % derived by i19",
             "has(b, result, x). % derived by i22",
         ]
+
+    @pytest.mark.parametrize("name", sorted(LAST_SUBEVENT_STORES))
+    def test_last_subevent_endpoints_are_events(self, capsys, tmp_path, name):
+        text, expected = LAST_SUBEVENT_STORES[name]
+        path = tmp_path / f"{name}.facts"
+        path.write_text(text)
+        code, out, err = _run(capsys, "derive", str(path))
+        assert code == 0
+        assert out.splitlines() == expected
+        assert "untyped-node" not in err
 
     def test_quiet_verbosity_suppresses_diagnostics(self, capsys, monkeypatch, fixtures_dir):
         monkeypatch.setenv("KDGRAPH_VERBOSITY", "quiet")
@@ -342,6 +381,14 @@ class TestCheck:
         )
         assert code == 0
         assert "fuzz seed 11" in out
+
+    @pytest.mark.parametrize("name", sorted(LAST_SUBEVENT_STORES))
+    def test_last_subevent_store_passes(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.facts"
+        path.write_text(LAST_SUBEVENT_STORES[name][0])
+        code, out, _ = _run(capsys, "check", str(path))
+        assert code == 0
+        assert out.endswith("result: pass\n")
 
 
 class TestExport:

@@ -36,7 +36,7 @@ def program():
 class TestProgramShape:
     def test_group_counts_match_catalog(self, program):
         assert program.group_counts() == {
-            "t": 21,
+            "t": 23,
             "e": 6,
             "ev": 3,
             "i": 25,
