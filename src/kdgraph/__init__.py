@@ -22,7 +22,7 @@ from .linking import JoinAtom, possible_next_events, subevent_closure, synthesiz
 from .oracle import differential_check, encode_program
 from .pipeline import PipelineResult, run_pipeline
 from .resolution import Confidence, match_instances, min_confidence, spatial_match
-from .taxonomy import ClassHierarchy, HierarchyCycleError, ancestor_classes, main_classes
+from .taxonomy import ClassHierarchy, HierarchyCycleError, main_classes
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "NodeKind",
     "PipelineResult",
     "Provenance",
-    "ancestor_classes",
     "build_kdg",
     "build_udg",
     "differential_check",

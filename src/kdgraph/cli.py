@@ -6,9 +6,10 @@ Diagnostics go to stderr as ``LEVEL code message`` lines; the variable
 KDGRAPH_VERBOSITY (quiet | warning | info) filters them.
 
 Exit codes: 0 success, 1 validation failure (cycles, bad fact files, failed
-differential check) or an input or output path that cannot be read or
-written (``io-error``; ``missing-input`` when an input does not exist), 2
-usage errors.
+differential check, or ``EvaluationError`` when the rule program does not
+reach a fixpoint during ``check``) or an input or output path that cannot
+be read or written (``io-error``; ``missing-input`` when an input does not
+exist), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .facts import FactSyntaxError, KnowledgeStore, merge_stores, parse_fact_pat
 from .fuzz import random_store
 from .graph import GraphCycleError, UnknownNodeError, rooted_subgraph
 from .linking import ChainError, synthesize_super_event
-from .oracle import differential_check, encode_program
+from .oracle import EvaluationError, differential_check, encode_program
 from .pipeline import PipelineResult, run_pipeline
 from .queries import QueryError, how_occurs, how_produces, how_related, why_important
 from .resolution import Confidence
@@ -256,6 +257,7 @@ def main(argv: list[str] | None = None) -> int:
         GraphCycleError,
         UnknownNodeError,
         QueryError,
+        EvaluationError,
     ) as exc:
         failure = error(type(exc).__name__, str(exc))
     print(failure.render(), file=sys.stderr)

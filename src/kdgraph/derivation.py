@@ -3,6 +3,7 @@
 Stages run in a fixed order, each one only adding facts to the store:
 
 1. node typing (event / entity / class) with write-back of typing facts,
+   the only typing of a run,
 2. next-event facts from enables/causes/prevents/inhibits edges,
 3. first and last subevents per parent, by absence of a sibling
    predecessor or successor,
@@ -96,8 +97,14 @@ def infer_event_typing(
     """Assign event/entity/class kinds to every graph node.
 
     Derived ``instance_of`` facts for event and entity nodes are written
-    back to the store.  Nodes typed both event and entity get a conflict
+    back to the store, and the ``event``/``entity`` nodes they create are
+    typed as classes.  Nodes typed both event and entity get a conflict
     diagnostic and count as events; nodes used as classes win over both.
+    Untyped nodes get an ``untyped-node`` diagnostic.
+
+    This is the only typing of a run: the later stages add edges only
+    between nodes of ``udg``, at endpoints that these rules already type,
+    so the returned typing also types the graph of the derived store.
     """
     event_reasons: dict[str, set[str]] = {}
     entity_reasons: dict[str, set[str]] = {}
@@ -169,12 +176,11 @@ def infer_event_typing(
     for node, kind in sorted(typing.items()):
         if kind is NodeKind.CLASS:
             continue
-        if node in event_reasons:
-            rule = min(event_reasons[node], key=_numeric_rule_order)
-            store.add_derived(node, "instance_of", "event", rule)
-        if node in entity_reasons:
-            rule = min(entity_reasons[node], key=_numeric_rule_order)
-            store.add_derived(node, "instance_of", "entity", rule)
+        for cls, reasons in (("event", event_reasons), ("entity", entity_reasons)):
+            if node in reasons:
+                rule = min(reasons[node], key=_numeric_rule_order)
+                store.add_derived(node, "instance_of", cls, rule)
+                typing.setdefault(cls, NodeKind.CLASS)
     return typing
 
 

@@ -298,19 +298,16 @@ def depth_first(
 def build_kdg(udg: DescriptionGraph, typing: dict[str, NodeKind]) -> DescriptionGraph:
     """Typed graph with endpoint constraints enforced and acyclicity checked.
 
-    Untyped nodes are excluded with a diagnostic; edges violating endpoint
-    constraints are dropped with one diagnostic each.  A structural cycle
-    raises :class:`GraphCycleError` carrying one witness cycle.
+    Untyped nodes are excluded silently; typing reports them.  Edges
+    violating endpoint constraints are dropped with one diagnostic each.  A
+    structural cycle raises :class:`GraphCycleError` carrying one witness
+    cycle.
     """
     graph = DescriptionGraph(variant="kdg")
     for node in sorted(udg.nodes):
         kind = typing.get(node, NodeKind.UNTYPED)
-        if kind is NodeKind.UNTYPED:
-            graph.diagnostics.append(
-                warn("untyped-node", f"{node} has no event/entity/class typing; excluded")
-            )
-            continue
-        graph.nodes[node] = kind
+        if kind is not NodeKind.UNTYPED:
+            graph.nodes[node] = kind
     for edge in udg.sorted_edges():
         if edge.source not in graph.nodes or edge.target not in graph.nodes:
             continue

@@ -35,11 +35,9 @@ take the union.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .facts import KnowledgeStore
-from .graph import DescriptionGraph, NodeKind
 from .pipeline import PipelineResult, run_pipeline
 from .taxonomy import main_classes
 
@@ -785,19 +783,6 @@ def fact_base_from_store(store: KnowledgeStore) -> list[Atom]:
     ]
 
 
-def fact_base_from_kdg(graph: DescriptionGraph) -> list[Atom]:
-    """Ground atoms for a typed graph: typing per node, one atom per edge."""
-    atoms: list[Atom] = []
-    for node, kind in sorted(graph.nodes.items()):
-        if kind is NodeKind.EVENT:
-            atoms.append(("has", node, "instance_of", "event"))
-        elif kind is NodeKind.ENTITY:
-            atoms.append(("has", node, "instance_of", "entity"))
-    for edge in graph.sorted_edges():
-        atoms.append(("has", edge.source, edge.slot, edge.target))
-    return atoms
-
-
 _HAS_FAMILIES = [
     "first_subevent", "last_subevent", "next_event",
     "input", "output", "input_location", "output_location",
@@ -830,16 +815,6 @@ class DifferentialReport:
                 lines.append(f"  oracle only: {row}")
         lines.append("result: " + ("pass" if self.passed else "fail"))
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            "passed": self.passed,
-            "families": {
-                family: {"engine_only": only_engine, "oracle_only": only_oracle}
-                for family, (only_engine, only_oracle) in sorted(self.families.items())
-            },
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _engine_families(result: PipelineResult) -> dict[str, set[tuple]]:

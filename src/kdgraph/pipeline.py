@@ -79,8 +79,7 @@ def run_pipeline(
     diagnostics.extend(udg.diagnostics)
     typing = infer_event_typing(store, udg, hierarchy, diagnostics)
     initial_kdg = build_kdg(udg, typing)  # validates endpoints and acyclicity
-    # Typing has already reported each node that build_kdg excludes as untyped.
-    diagnostics.extend(d for d in initial_kdg.diagnostics if d.code != "untyped-node")
+    diagnostics.extend(initial_kdg.diagnostics)
 
     derive_next_events(store)
     derive_first_last_subevents(store, diagnostics)
@@ -89,10 +88,9 @@ def run_pipeline(
     default_output_location(store)
     io_relations = derive_io_relations(store, kinds)
 
-    # Rebuild the typed graph so derived edges are part of it.
-    final_udg = build_udg(store)
-    final_typing = infer_event_typing(store, final_udg, hierarchy)
-    kdg = build_kdg(final_udg, final_typing)
+    # Rebuild the graph so derived edges are part of it; the typing above
+    # already types their endpoints (see infer_event_typing).
+    kdg = build_kdg(build_udg(store), typing)
 
     matches = match_instances(store, hierarchy)
     spatial = spatial_match(store, hierarchy, matches, diagnostics)

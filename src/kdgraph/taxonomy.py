@@ -76,10 +76,6 @@ class ClassHierarchy:
         return cls == root or root in self.ancestors(cls)
 
 
-def ancestor_classes(hierarchy: ClassHierarchy, cls: str) -> set[str]:
-    return set(hierarchy.ancestors(cls))
-
-
 def classes_of(store: KnowledgeStore, instance: str) -> set[str]:
     """All asserted or derived classes of an instance."""
     return set(store.values(instance, "instance_of"))

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kdgraph.cli import main
+from kdgraph.graph import AUX_SLOTS, SLOT_FAMILIES
+from kdgraph.oracle import EvaluationError, RuleProgram
 
 # Stores whose only event evidence for ``p`` is an asserted last_subevent
 # fact; IO copied up from ``c`` must not reach an untyped parent.
@@ -382,6 +389,19 @@ class TestCheck:
         assert code == 0
         assert "fuzz seed 11" in out
 
+    def test_evaluation_error_is_reported_without_traceback(
+        self, capsys, monkeypatch, fixtures_dir
+    ):
+        def fail(self, base):
+            raise EvaluationError("stratified evaluation is not a fixpoint of the full program")
+
+        monkeypatch.setattr(RuleProgram, "evaluate", fail)
+        code, _, err = _run(capsys, "check", str(fixtures_dir / "photosynthesis.facts"))
+        assert code == 1
+        assert err == (
+            "ERROR EvaluationError stratified evaluation is not a fixpoint of the full program\n"
+        )
+
     @pytest.mark.parametrize("name", sorted(LAST_SUBEVENT_STORES))
     def test_last_subevent_store_passes(self, capsys, tmp_path, name):
         path = tmp_path / f"{name}.facts"
@@ -444,3 +464,32 @@ class TestExport:
         payload = json.loads(out)
         ids = {n["id"] for n in payload["nodes"]}
         assert "eukaryotic_translation" not in ids
+
+
+# Five ids, ``k`` asserted as a class, and every slot, so that small
+# stores hit typing conflicts, cycles and every slot's endpoints.
+_CLI_IDS = ["a", "b", "c", "d", "k"]
+fact_texts = st.lists(
+    st.tuples(
+        st.sampled_from(_CLI_IDS),
+        st.sampled_from(sorted(set(SLOT_FAMILIES) | AUX_SLOTS)),
+        st.sampled_from(_CLI_IDS),
+    ),
+    max_size=8,
+).map(lambda rows: "".join(f"has({s}, {p}, {v}).\n" for s, p, v in [("a", "instance_of", "k"), *rows]))
+
+
+class TestCliProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(fact_texts)
+    @example(LAST_SUBEVENT_STORES["result"][0])
+    @example(LAST_SUBEVENT_STORES["destination"][0])
+    def test_derive_and_check_exit_zero_or_one(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "kb.facts"
+            path.write_text(text)
+            for command in ("derive", "check"):
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                    io.StringIO()
+                ):
+                    assert main([command, str(path)]) in (0, 1)

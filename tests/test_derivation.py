@@ -1,5 +1,10 @@
 import time
+from functools import partial
+from pathlib import Path
 
+import pytest
+
+import kdgraph.pipeline
 from kdgraph.derivation import (
     EventKind,
     IORelation,
@@ -11,9 +16,9 @@ from kdgraph.derivation import (
     infer_event_typing,
     propagate_io,
 )
-from kdgraph.facts import parse_fact_file
-from kdgraph.fuzz import chain_store
-from kdgraph.graph import NodeKind, build_udg
+from kdgraph.facts import parse_fact_file, parse_fact_path
+from kdgraph.fuzz import chain_store, random_store
+from kdgraph.graph import NodeKind, build_kdg, build_udg
 from kdgraph.pipeline import run_pipeline
 from kdgraph.taxonomy import ClassHierarchy
 
@@ -376,6 +381,48 @@ class TestStageAlgebra:
         default_output_location(store)
         sizes.append(len(store))
         assert sizes == sorted(sizes)
+
+
+TESTS = Path(__file__).parent
+# Acyclic stores: the fixtures, the golden inputs without a cycle, random
+# stores, and one that names neither ``event`` nor ``entity`` itself.
+_TYPED_ONCE_STORES = {
+    **{
+        path.name: partial(parse_fact_path, path)
+        for directory in (TESTS / "fixtures", TESTS / "golden" / "inputs")
+        for path in sorted(directory.glob("*.facts"))
+        if not path.stem.endswith("_cycle")
+    },
+    **{f"random_store({seed})": partial(random_store, seed) for seed in range(50)},
+    "no_class_facts": partial(
+        parse_fact_file, "has(p, last_subevent, c).\nhas(c, result, x).\nhas(p, enables, q).\n"
+    ),
+}
+
+
+class TestTypedOnce:
+    """Typing runs once per run; derivation must not change a node's type."""
+
+    @pytest.mark.parametrize("root, calls", [(None, 1), ("synthesis_of_rna_in_eukaryote", 2)])
+    def test_one_typing_per_run(self, monkeypatch, eukaryote_store, root, calls):
+        made = []
+
+        def counting(*args, **kwargs):
+            made.append(1)
+            return infer_event_typing(*args, **kwargs)
+
+        monkeypatch.setattr(kdgraph.pipeline, "infer_event_typing", counting)
+        run_pipeline(eukaryote_store, root=root)
+        assert len(made) == calls
+
+    @pytest.mark.parametrize("name", sorted(_TYPED_ONCE_STORES))
+    def test_typing_covers_the_derived_store(self, name):
+        result = run_pipeline(_TYPED_ONCE_STORES[name]())
+        store = result.store.copy()
+        udg = build_udg(store)
+        typing = infer_event_typing(store, udg, result.hierarchy)
+        assert store.triples() == result.store.triples()
+        assert build_kdg(udg, typing) == result.kdg
 
 
 class TestDeepChainProbes:

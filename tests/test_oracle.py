@@ -20,10 +20,8 @@ from kdgraph.oracle import (
     _row,
     differential_check,
     encode_program,
-    fact_base_from_kdg,
     fact_base_from_store,
 )
-from kdgraph.pipeline import run_pipeline
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
@@ -125,11 +123,6 @@ class TestEvaluation:
             ("synthesis_of_rna_in_eukaryote", "eukaryotic_translation")
         }
 
-    def test_graph_generated_base(self, program, eukaryote_store):
-        result = run_pipeline(eukaryote_store)
-        model = program.evaluate(fact_base_from_kdg(result.kdg))
-        assert ("has", "synthesis_of_rna_in_eukaryote", "last_subevent", "move_out") in model
-
     def test_order_independence(self, program, eukaryote_store):
         base = fact_base_from_store(eukaryote_store)
         model_a = program.evaluate(base)
@@ -193,12 +186,8 @@ class TestDifferential:
         assert not report.passed
 
     def test_report_text_and_json(self, program, photosynthesis_store):
-        import json
-
         report = differential_check(photosynthesis_store, program)
         assert "result: pass" in report.to_text()
-        payload = json.loads(report.to_json())
-        assert payload["passed"] is True
 
     def test_small_fuzzed_store(self, program):
         report = differential_check(random_store(42), program)

@@ -4,7 +4,6 @@ from kdgraph.facts import parse_fact_file
 from kdgraph.taxonomy import (
     ClassHierarchy,
     HierarchyCycleError,
-    ancestor_classes,
     is_location_instance,
     main_classes,
 )
@@ -35,11 +34,11 @@ class TestAncestors:
         hierarchy = ClassHierarchy.from_edges(MRNA_CHAIN)
         expected = brute_force_ancestors(MRNA_CHAIN, "mrna")
         assert expected == {"rna", "nucleic_acid", "entity", "thing"}
-        assert ancestor_classes(hierarchy, "mrna") == expected
+        assert hierarchy.ancestors("mrna") == expected
 
     def test_root_has_no_ancestors(self):
         hierarchy = ClassHierarchy.from_edges(MRNA_CHAIN)
-        assert ancestor_classes(hierarchy, "thing") == set()
+        assert hierarchy.ancestors("thing") == set()
 
     def test_event_chain(self):
         edges = [
@@ -48,14 +47,14 @@ class TestAncestors:
             ("event", "thing"),
         ]
         hierarchy = ClassHierarchy.from_edges(edges)
-        assert ancestor_classes(hierarchy, "eukaryotic_translation") == brute_force_ancestors(
+        assert hierarchy.ancestors("eukaryotic_translation") == brute_force_ancestors(
             edges, "eukaryotic_translation"
         )
 
     def test_diamond(self):
         edges = [("d", "b"), ("d", "c"), ("b", "a"), ("c", "a")]
         hierarchy = ClassHierarchy.from_edges(edges)
-        assert ancestor_classes(hierarchy, "d") == {"a", "b", "c"}
+        assert hierarchy.ancestors("d") == {"a", "b", "c"}
 
     def test_irreflexive(self):
         hierarchy = ClassHierarchy.from_edges(MRNA_CHAIN)
