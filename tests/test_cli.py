@@ -476,7 +476,7 @@ fact_texts = st.lists(
         st.sampled_from(_CLI_IDS),
     ),
     max_size=8,
-).map(lambda rows: "".join(f"has({s}, {p}, {v}).\n" for s, p, v in [("a", "instance_of", "k"), *rows]))
+).map(lambda rows: "has(a, instance_of, k).\n" + "".join(f"has({s}, {p}, {v}).\n" for s, p, v in rows))
 
 
 class TestCliProperties:
