@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -56,6 +57,7 @@ class Provenance:
         return Provenance("asserted", file=file, line=line)
 
     @staticmethod
+    @cache  # immutable, so one per rule id serves every derived fact
     def derived(rule: str) -> "Provenance":
         return Provenance("derived", rule=rule)
 
@@ -160,7 +162,8 @@ class KnowledgeStore:
         return [self._facts[t] for t in sorted(hits)]
 
     def values(self, subject: str, slot: str) -> list[str]:
-        return [f.value for f in self.query(subject=subject, slot=slot)]
+        triples = self._by_subject_slot.get((subject, slot))
+        return sorted([t[2] for t in triples]) if triples else []
 
     def subjects(self, slot: str, value: str) -> list[str]:
         return [f.subject for f in self.query(slot=slot, value=value)]

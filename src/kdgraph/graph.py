@@ -304,6 +304,7 @@ def build_kdg(udg: DescriptionGraph, typing: dict[str, NodeKind]) -> Description
     cycle.
     """
     graph = DescriptionGraph(variant="kdg")
+    successors: dict[str, list[str]] = {}  # acyclic-family edges, as adjacency() gives them
     for node in sorted(udg.nodes):
         kind = typing.get(node, NodeKind.UNTYPED)
         if kind is not NodeKind.UNTYPED:
@@ -323,10 +324,8 @@ def build_kdg(udg: DescriptionGraph, typing: dict[str, NodeKind]) -> Description
             )
             continue
         graph.edges.add(edge)
-    successors = {
-        source: [e.target for e in edges]
-        for source, edges in adjacency(graph, ACYCLIC_FAMILIES).items()
-    }
+        if edge.family in ACYCLIC_FAMILIES:
+            successors.setdefault(edge.source, []).append(edge.target)
     _, cycle = depth_first(successors, sorted(successors))
     if cycle:
         raise GraphCycleError(cycle)

@@ -10,6 +10,7 @@ folded under a fresh synthesized parent event.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, warn
@@ -69,28 +70,45 @@ def filter_joins(atoms: list[JoinAtom], minimum: Confidence) -> list[JoinAtom]:
     ]
 
 
-def subevent_closure(store: KnowledgeStore) -> dict[str, frozenset[str]]:
+class Containers(Mapping[str, frozenset[str]]):
     """Each contained event -> every event containing it, transitively.
 
-    Events under no other event have no entry; cycles are errors.
+    Events under no other event have no entry.  A chain of n events has
+    n(n-1)/2 such pairs, so each set is walked up the parent lists on its
+    first lookup and kept, not built up front.
     """
+
+    def __init__(self, parents: dict[str, list[str]]):
+        self._parents = parents
+        self._found: dict[str, frozenset[str]] = {}
+
+    def __getitem__(self, node: str) -> frozenset[str]:
+        if node not in self._found:
+            self._found[node] = frozenset(depth_first(self._parents, self._parents[node])[0])
+        return self._found[node]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._parents)
+
+    def __len__(self) -> int:
+        return len(self._parents)
+
+
+def subevent_closure(store: KnowledgeStore) -> Containers:
+    """The containers of the store's ``subevent`` facts; cycles are errors."""
     children: dict[str, list[str]] = {}
+    parents: dict[str, list[str]] = {}
     for fact in store.query(slot="subevent"):  # sorted, so children are too
         children.setdefault(fact.subject, []).append(fact.value)
-    post_order, cycle = depth_first(children, sorted(children))
+        parents.setdefault(fact.value, []).append(fact.subject)
+    _, cycle = depth_first(children, sorted(children))
     if cycle:
         raise GraphCycleError(cycle)
-    # Reversed post-order reaches every parent before its children.
-    containers: dict[str, frozenset[str]] = {}
-    for node in reversed(post_order):
-        above = containers.get(node, frozenset()) | {node}
-        for child in children.get(node, ()):
-            containers[child] = containers[child] | above if child in containers else above
-    return containers
+    return Containers(parents)
 
 
 def possible_next_events(
-    join_atoms: list[JoinAtom], containers: dict[str, frozenset[str]]
+    join_atoms: list[JoinAtom], containers: Mapping[str, frozenset[str]]
 ) -> tuple[list[tuple[str, str]], dict[tuple[str, str], list[int]]]:
     """Joins surviving the containment exclusions, plus why the rest fell.
 
@@ -110,17 +128,14 @@ def possible_next_events(
     for a, b in sorted(joined):
         above_a = containers.get(a, frozenset())
         above_b = containers.get(b, frozenset())
-        reasons = []
-        if any((a, c) in joined for c in above_b):
-            reasons.append(1)
-        if any((c, b) in joined for c in above_a):
-            reasons.append(2)
-        if a in above_b:
-            reasons.append(3)
-        if b in above_a:
-            reasons.append(4)
-        if not above_a.isdisjoint(above_b):
-            reasons.append(5)
+        holds = (
+            any((a, c) in joined for c in above_b),
+            any((c, b) in joined for c in above_a),
+            a in above_b,
+            b in above_a,
+            not above_a.isdisjoint(above_b),
+        )
+        reasons = [code for code, held in enumerate(holds, 1) if held]
         if reasons:
             excluded[(a, b)] = reasons
         else:
@@ -197,7 +212,7 @@ class ChainError(ValueError):
 
 
 def synthesize_super_event(
-    chain: list[str], containers: dict[str, frozenset[str]]
+    chain: list[str], containers: Mapping[str, frozenset[str]]
 ) -> list[Fact]:
     """Facts introducing a fresh parent event over a recovered chain.
 

@@ -19,6 +19,7 @@ from .diagnostics import Diagnostic
 from .facts import Fact, KnowledgeStore
 from .graph import DescriptionGraph, build_kdg, build_udg, rooted_subgraph
 from .linking import (
+    Containers,
     JoinAtom,
     extract_chains,
     filter_joins,
@@ -44,7 +45,7 @@ class PipelineResult:
     possible_next_events: list[tuple[str, str]]
     exclusions: dict[tuple[str, str], list[int]]
     chains: list[list[str]]
-    containers: dict[str, frozenset[str]]
+    containers: Containers
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
