@@ -5,16 +5,16 @@ at most 30 instances, a class hierarchy at most 5 levels deep, at most 60
 facts, no superclass cycles and no structural cycles.  Identifiers never
 double as both class and instance.
 
-:func:`chain_store` builds one adversarial shape outside that envelope: a
-deep ``subevent`` chain, for probing how derivation and resolution scale
-with depth.
+:func:`chain_store` and :func:`inside_chain_store` build adversarial shapes
+outside that envelope, a deep ``subevent`` chain and a deep ``is_inside``
+chain, for probing how derivation and resolution scale with depth.
 """
 
 from __future__ import annotations
 
 import random
 
-from .facts import Fact, KnowledgeStore, Provenance
+from .facts import Fact, KnowledgeStore, Provenance, parse_fact_file
 
 MAX_INSTANCES = 30
 MAX_FACTS = 60
@@ -163,3 +163,18 @@ def chain_store(depth: int, io: bool = False) -> KnowledgeStore:
     if io and depth:
         add(f"ev{depth - 1}", "object", "cargo")
     return store
+
+
+def inside_chain_store(size: int) -> KnowledgeStore:
+    """An ``is_inside`` chain of ``size`` locations: l1 inside l0, and so on.
+
+    Location ``lI`` is the one instance of its own class ``lcI``, a
+    subclass of ``spatial_entity``, so the spatial closure holds every
+    contained pair, at both high and low.
+    """
+    lines = ["has(spatial_entity, superclass, entity)."]
+    for i in range(size):
+        lines += [f"has(lc{i}, superclass, spatial_entity).", f"has(l{i}, instance_of, lc{i})."]
+        if i:
+            lines.append(f"has(l{i}, is_inside, l{i - 1}).")
+    return parse_fact_file("\n".join(lines), "<chain>")

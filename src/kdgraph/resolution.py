@@ -2,13 +2,14 @@
 
 Confidence forms a three-level chain (low < medium < high) whose meet is
 minimum.  Matching is a least fixpoint over ordered instance pairs: base
-clauses seed levels, a chain rule composes them at the minimum of the two
-step confidences, and the reported relation per pair is the maximum
-derivable level.  All derivable levels are retained so the reference
-evaluator can be compared level by level, and every derived atom records
-one witness chain.  A :class:`MatchSet` holds the relation in one map,
-source -> target -> level -> witness, plus a target -> sources index; the
-chain closure, the joins and the report all read that map.
+clauses seed atoms (source, target, level), and the chain rule composes
+a -conf1-> b with b -conf2-> c into a -min(conf1, conf2)-> c.  For
+``match`` a composition needs a, b and c pairwise distinct; for
+``spatially_match`` it needs nothing.  An atom is stored exactly when it
+is derivable, so one pair may hold several levels (the reference
+evaluator is compared level by level), and the reported relation per pair
+is its highest level.  Every atom records one witness: its base rule, or
+the first composition that derived it in the closure's queue order.
 
 The relations are directional; nothing here assumes symmetry.
 """
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from enum import IntEnum
+from functools import cache
+from itertools import product, repeat
 from typing import Iterable
 
 from .diagnostics import Diagnostic, warn
@@ -44,26 +47,28 @@ def min_confidence(a: Confidence, b: Confidence) -> Confidence:
 
 
 _Key = tuple[str, str, Confidence]
+_LEVELS = tuple(Confidence)
 
 
 class MatchSet:
     """All derivable (source, target, level) atoms, each with one witness.
 
-    The relation is stored once, as the map source -> target -> level ->
-    witness, where a witness is ("base", rule) or ("chain", mid, conf1,
-    conf2).  ``_sources`` indexes it by target, so the atoms into a node
-    are a lookup as well.
+    Storage is per level: ``_out[level]`` maps source -> {target: witness}
+    and ``_into[level]`` maps target -> [source, ...], where a witness is
+    ("base", rule) or ("chain", mid, conf1, conf2).  Each stored level of a
+    pair is one derivable atom, so a pair may hold several levels; adding
+    an atom that is already stored keeps its first witness.
     """
 
     def __init__(self, kind: str):
         self.kind = kind
-        self._relation: dict[str, dict[str, dict[Confidence, tuple]]] = defaultdict(dict)
-        self._sources: dict[str, list[str]] = defaultdict(list)
+        self._out: tuple[dict[str, dict[str, tuple]], ...] = tuple({} for _ in _LEVELS)
+        self._into: tuple[dict[str, list[str]], ...] = tuple({} for _ in _LEVELS)
         self._size = 0
 
     def __contains__(self, key: _Key) -> bool:
         source, target, conf = key
-        return conf in self._relation.get(source, {}).get(target, ())
+        return target in self._out[conf].get(source, ())
 
     def __len__(self) -> int:
         return self._size
@@ -78,40 +83,27 @@ class MatchSet:
         return self._add(source, target, conf, ("chain", mid, conf1, conf2))
 
     def _add(self, source: str, target: str, conf: Confidence, witness: tuple) -> bool:
-        levels = self._relation[source].get(target)
-        if levels is None:
-            levels = self._relation[source][target] = {}
-            self._sources[target].append(source)
-        elif conf in levels:
+        targets = self._out[conf].setdefault(source, {})
+        if target in targets:
             return False
-        levels[conf] = witness
+        targets[target] = witness
+        self._into[conf].setdefault(target, []).append(source)
         self._size += 1
         return True
 
     def atoms(self) -> list[_Key]:
         return sorted(
             (source, target, conf)
-            for source, targets in self._relation.items()
-            for target, levels in targets.items()
-            for conf in levels
+            for conf, out in zip(_LEVELS, self._out)
+            for source, targets in out.items()
+            for target in targets
         )
 
-    def levels(self, source: str, target: str) -> set[Confidence]:
-        return set(self._relation.get(source, {}).get(target, ()))
-
     def best(self, source: str, target: str) -> Confidence | None:
-        levels = self._relation.get(source, {}).get(target)
-        return max(levels) if levels else None
-
-    def successors(self, source: str) -> list[tuple[str, Confidence]]:
-        """(target, level) of every atom out of ``source``, sorted."""
-        targets = self._relation.get(source, {})
-        return sorted((target, conf) for target in targets for conf in targets[target])
-
-    def predecessors(self, target: str) -> list[tuple[str, Confidence]]:
-        """(source, level) of every atom into ``target``, sorted."""
-        sources = self._sources.get(target, ())
-        return sorted((src, conf) for src in sources for conf in self._relation[src][target])
+        for conf in reversed(_LEVELS):
+            if target in self._out[conf].get(source, ()):
+                return conf
+        return None
 
     def witness_chain(self, source: str, target: str, conf: Confidence) -> list[str]:
         """One derivation path source .. target supporting the atom."""
@@ -121,51 +113,67 @@ class MatchSet:
         pending = [(source, target, conf)]
         while pending:
             src, dst, level = pending.pop()
-            how = self._relation[src][dst][level]
+            how = self._out[level][src][dst]
             if how[0] == "base":
                 chain.append(dst)
                 continue
             _, mid, conf1, conf2 = how
-            pending.append((mid, dst, conf2))
-            pending.append((src, mid, conf1))
+            pending += [(mid, dst, conf2), (src, mid, conf1)]
         return chain
 
     def report(self) -> list[dict]:
         """One row per ordered pair, at its maximum level."""
-        rows = []
-        for source, targets in sorted(self._relation.items()):
-            for target, levels in sorted(targets.items()):
-                conf = max(levels)
-                rows.append(
-                    {
-                        "from": source,
-                        "to": target,
-                        "kind": self.kind,
-                        "confidence": conf.label,
-                        "witness_chain": self.witness_chain(source, target, conf),
-                    }
-                )
-        return rows
+        top: dict[tuple[str, str], Confidence] = {}
+        for conf, out in zip(_LEVELS, self._out):  # ascending: the last write is the best
+            for source, targets in out.items():
+                for target in targets:
+                    top[source, target] = conf
+        return [
+            {"from": source, "to": target, "kind": self.kind, "confidence": conf.label,
+             "witness_chain": self.witness_chain(source, target, conf)}
+            for (source, target), conf in sorted(top.items())
+        ]
+
+
+def _fresh(
+    index: tuple[dict, ...], node: str, other: str, conf1: Confidence, exclude: tuple,
+) -> list[tuple[str, Confidence]]:
+    """Sorted (partner, level) of ``node`` in ``index`` that compose to a new
+    atom: ``index`` does not list the partner under ``other`` at
+    min(conf1, level).  Partners in ``exclude`` drop out as well."""
+    fresh = []
+    for level, partners in zip(_LEVELS, index):
+        partners = partners.get(node)
+        if partners:
+            new = set(partners)
+            new.difference_update(index[min(conf1, level)].get(other, ()), exclude)
+            fresh += zip(new, repeat(level))
+    fresh.sort()
+    return fresh
 
 
 def _close_under_chaining(matches: MatchSet, distinct: bool):
-    """Compose atoms at min confidence until nothing new appears."""
+    """Compose atoms at min confidence until nothing new appears.
+
+    A popped atom a -conf1-> c (LIFO queue, seeded with the sorted atoms)
+    is the left leg of a -> c -> b for each stored c -conf2-> b, then the
+    right leg of x -> a -> c for each stored x -confx-> a, in (node, level)
+    order; each new atom keeps that composition as its witness and is
+    queued.  Partners whose composition is stored already drop out in one
+    set difference per level, so only new compositions cost a Python call.
+    """
     queue = matches.atoms()
-
-    def emit(src: str, dst: str, mid: str, conf1: Confidence, conf2: Confidence):
-        if distinct and (src == dst or src == mid or mid == dst):
-            return
-        conf = min_confidence(conf1, conf2)
-        if matches.add_chain(src, dst, conf, mid, conf1, conf2):
-            queue.append((src, dst, conf))
-
     while queue:
         a, c, conf1 = queue.pop()
-        # New atom as the left leg, then as the right leg of a chain.
-        for b, conf2 in matches.successors(c):
-            emit(a, b, c, conf1, conf2)
-        for x, confx in matches.predecessors(a):
-            emit(x, c, a, confx, conf1)
+        if distinct and a == c:
+            continue
+        exclude = (a, c) if distinct else ()
+        for b, conf2 in _fresh(matches._out, c, a, conf1, exclude):
+            if matches.add_chain(a, b, min(conf1, conf2), c, conf1, conf2):
+                queue.append((a, b, min(conf1, conf2)))
+        for x, confx in _fresh(matches._into, a, c, conf1, exclude):
+            if matches.add_chain(x, c, min(confx, conf1), a, confx, conf1):
+                queue.append((x, c, min(confx, conf1)))
 
 
 def match_instances(
@@ -181,15 +189,10 @@ def match_instances(
     shared main class gives low; chains compose at min confidence with
     pairwise-distinct endpoints.
     """
-    instances = sorted(
-        {f.subject for f in store.query(slot="instance_of")}
-        if scope is None
-        else set(scope)
-    )
-    mains = {
-        inst: frozenset(main_classes(store, hierarchy, inst)) for inst in instances
-    }
-    instances = [inst for inst in instances if mains[inst]]
+    if scope is None:
+        scope = {f.subject for f in store.query(slot="instance_of")}
+    mains = {inst: frozenset(main_classes(store, hierarchy, inst)) for inst in sorted(scope)}
+    instances = [inst for inst in mains if mains[inst]]
     above = {inst: frozenset().union(*map(hierarchy.ancestors, mains[inst])) for inst in instances}
     index = set(instances)
     matches = MatchSet("match")
@@ -203,9 +206,8 @@ def match_instances(
                 matches.add_base(fact.subject, fact.value, Confidence.HIGH, "ma2")
             clone_sources.setdefault(fact.value, []).append(fact.subject)
     for cloners in clone_sources.values():
-        for a in cloners:
-            for b in cloners:
-                matches.add_base(a, b, Confidence.MEDIUM, "ma4")
+        for a, b in product(cloners, repeat=2):
+            matches.add_base(a, b, Confidence.MEDIUM, "ma4")
     # ma3 and ma5 pair a with b when a main class of a is above, or among,
     # the main classes of b; index instances by main class to reach them.
     holders: dict[str, list[str]] = defaultdict(list)
@@ -240,12 +242,10 @@ def spatial_match(
     a diagnostic.
     """
     spatial = MatchSet("spatial")
-    location_cache: dict[str, bool] = {}
 
+    @cache
     def is_location(inst: str) -> bool:
-        if inst not in location_cache:
-            location_cache[inst] = is_location_instance(store, hierarchy, inst)
-        return location_cache[inst]
+        return is_location_instance(store, hierarchy, inst)
 
     for source, target, conf in matches.atoms():
         if is_location(source) and is_location(target):

@@ -1,8 +1,11 @@
 import itertools
+from collections import defaultdict
 
 import pytest
 
-from kdgraph.facts import parse_fact_file
+from kdgraph import resolution
+from kdgraph.facts import parse_fact_file, parse_fact_path
+from kdgraph.fuzz import inside_chain_store
 from kdgraph.pipeline import run_pipeline
 from kdgraph.resolution import (
     Confidence,
@@ -12,7 +15,7 @@ from kdgraph.resolution import (
     spatial_match,
 )
 from kdgraph.taxonomy import ClassHierarchy
-from tests.golden.capture import model_store
+from tests.golden.capture import INPUTS, REPO, model_store
 
 LEVELS = [Confidence.LOW, Confidence.MEDIUM, Confidence.HIGH]
 
@@ -41,6 +44,10 @@ class TestConfidenceLattice:
     def test_labels(self):
         assert Confidence.HIGH.label == "high"
         assert Confidence.from_label("medium") is Confidence.MEDIUM
+
+
+def _levels(relation, source, target):
+    return {conf for s, t, conf in relation.atoms() if (s, t) == (source, target)}
 
 
 class TestMatchSet:
@@ -79,8 +86,8 @@ class TestMatchSet:
             assert atom in relation
         assert ("a", "b", Confidence.MEDIUM) not in relation
         assert ("c", "a", Confidence.LOW) not in relation
-        assert relation.levels("a", "b") == {Confidence.LOW, Confidence.HIGH}
-        assert relation.levels("b", "a") == set()
+        assert _levels(relation, "a", "b") == {Confidence.LOW, Confidence.HIGH}
+        assert _levels(relation, "b", "a") == set()
 
     def test_report_is_one_row_per_pair_at_its_best_level(self):
         assert self._relation().report() == [
@@ -93,12 +100,14 @@ class TestMatchSet:
         ]
 
     def test_neighbours_are_sorted(self):
-        relation = self._relation()
-        assert relation.successors("a") == [
+        atoms = self._relation().atoms()
+        assert [(t, conf) for s, t, conf in atoms if s == "a"] == [
             ("b", Confidence.LOW), ("b", Confidence.HIGH), ("c", Confidence.LOW)
         ]
-        assert relation.predecessors("c") == [("a", Confidence.LOW), ("b", Confidence.LOW)]
-        assert relation.successors("c") == [] and relation.predecessors("a") == []
+        assert [(s, conf) for s, t, conf in atoms if t == "c"] == [
+            ("a", Confidence.LOW), ("b", Confidence.LOW)
+        ]
+        assert not any(s == "c" or t == "a" for s, t, _ in atoms)
 
 
 def _matches(text):
@@ -158,7 +167,7 @@ class TestMatching:
             "has(a, instance_of, mrna).\nhas(b, instance_of, mrna).\n"
             "has(a, cloned_from, b)."
         )
-        assert matches.levels("a", "b") == {Confidence.LOW, Confidence.HIGH}
+        assert _levels(matches, "a", "b") == {Confidence.LOW, Confidence.HIGH}
         assert matches.best("a", "b") is Confidence.HIGH
 
     def test_scope_restriction(self):
@@ -186,10 +195,7 @@ class TestMatching:
         for source, target, conf in matches.atoms():
             chain = matches.witness_chain(source, target, conf)
             assert chain[0] == source and chain[-1] == target
-            step_levels = [
-                max(matches.levels(a, b))
-                for a, b in zip(chain, chain[1:])
-            ]
+            step_levels = [matches.best(a, b) for a, b in zip(chain, chain[1:])]
             assert min(step_levels) >= conf
 
 
@@ -231,6 +237,111 @@ def _naive_match_closure(store, hierarchy):
                     atoms.add(new)
                     changed = True
     return atoms
+
+
+def _reference_closure(base: list, distinct: bool) -> dict:
+    """A per-emit chain closure: the reference for the order in which atoms,
+    and so witnesses, are found.
+
+    The relation is a plain map source -> target -> level -> witness,
+    seeded with the sorted base atoms; each pop tries every stored partner
+    of each leg, sorted by (node, level), one emit at a time.
+    """
+    relation: dict = defaultdict(dict)
+    sources: dict = defaultdict(list)
+
+    def add(src, dst, conf, witness):
+        levels = relation[src].get(dst)
+        if levels is None:
+            levels = relation[src][dst] = {}
+            sources[dst].append(src)
+        elif conf in levels:
+            return False
+        levels[conf] = witness
+        return True
+
+    for atom in base:
+        add(*atom, ("base",))
+    queue = list(base)
+
+    def emit(src, dst, mid, conf1, conf2):
+        if distinct and (src == dst or src == mid or mid == dst):
+            return
+        conf = min_confidence(conf1, conf2)
+        if add(src, dst, conf, ("chain", mid, conf1, conf2)):
+            queue.append((src, dst, conf))
+
+    while queue:
+        a, c, conf1 = queue.pop()
+        targets = relation.get(c, {})
+        for b, conf2 in sorted((t, level) for t in targets for level in targets[t]):
+            emit(a, b, c, conf1, conf2)
+        for x, confx in sorted((x, level) for x in sources.get(a, ()) for level in relation[x][a]):
+            emit(x, c, a, confx, conf1)
+    return relation
+
+
+def _reference_report(relation: dict, kind: str) -> list[dict]:
+    def chain_of(source, target, conf):
+        chain, pending = [source], [(source, target, conf)]
+        while pending:
+            src, dst, level = pending.pop()
+            how = relation[src][dst][level]
+            if how[0] == "base":
+                chain.append(dst)
+            else:
+                pending += [(how[1], dst, how[3]), (src, how[1], how[2])]
+        return chain
+
+    return [
+        {"from": source, "to": target, "kind": kind, "confidence": max(levels).label,
+         "witness_chain": chain_of(source, target, max(levels))}
+        for source, targets in sorted(relation.items())
+        for target, levels in sorted(targets.items())
+    ]
+
+
+_ACYCLIC_GOLDEN_INPUTS = ["io_chain", "ladder", "lattice"]
+
+
+def _equivalence_store(name):
+    if name.startswith("golden."):
+        return parse_fact_path(REPO / INPUTS / f"{name.split('.')[1]}.facts")
+    if name == "inside_chain_store.40":
+        return inside_chain_store(40)
+    return model_store(name)
+
+
+class TestClosureMatchesPerEmitReference:
+    """The set-at-a-time closure finds the same atoms, with the same
+    witnesses, as the per-emit one, for ``match`` and ``spatially_match``."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [f"random_store.{seed}" for seed in range(100)]
+        + ["photosynthesis", "eukaryote", "rooted_cell"]
+        + [f"golden.{name}" for name in _ACYCLIC_GOLDEN_INPUTS]
+        + ["inside_chain_store.40"],
+    )
+    def test_same_atoms_and_witnesses(self, monkeypatch, name):
+        closed = []
+        close = resolution._close_under_chaining
+
+        def recording(matches, distinct):
+            base = matches.atoms()
+            close(matches, distinct)
+            closed.append((matches, base, distinct))
+
+        monkeypatch.setattr(resolution, "_close_under_chaining", recording)
+        run_pipeline(_equivalence_store(name))
+        assert [m.kind for m, _, _ in closed] == ["match", "spatial"]
+        for matches, base, distinct in closed:
+            reference = _reference_closure(base, distinct)
+            assert matches.atoms() == sorted(
+                (s, t, level) for s, targets in reference.items()
+                for t, levels in targets.items() for level in levels
+            )
+            assert matches.report() == _reference_report(reference, matches.kind)
 
 
 WORKED_EXAMPLE = """\
@@ -287,13 +398,7 @@ class TestSpatialMatching:
     def test_is_inside_chain_closes_to_containment(self):
         # Each location is its own class, l{i} sits inside l{i-1}.
         size = 40
-        lines = ["has(spatial_entity, superclass, entity)."]
-        for i in range(size):
-            lines.append(f"has(lc{i}, superclass, spatial_entity).")
-            lines.append(f"has(l{i}, instance_of, lc{i}).")
-            if i:
-                lines.append(f"has(l{i}, is_inside, l{i - 1}).")
-        spatial, diagnostics = self._spatial("\n".join(lines))
+        spatial, diagnostics = self._spatial(inside_chain_store(size).to_fact_text())
         assert diagnostics == []
         # Containment closure by saturation, container first, reflexive
         # because every location matches itself.
