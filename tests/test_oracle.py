@@ -4,11 +4,14 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kdgraph import oracle
 from kdgraph.facts import parse_fact_path
 from kdgraph.fuzz import random_store
 from kdgraph.oracle import (
     Clause,
+    CompileError,
     Database,
     DifferentialReport,
     EvaluationError,
@@ -304,6 +307,14 @@ class TestClauseShapes:
         model = program.evaluate(base)
         _assert_model(model, set(base) | {("defaulted", "e1", "l1")})
 
+    def test_negated_atom_with_repeated_existential_variable(self):
+        base = [("node", "a"), ("node", "b"), ("r", "a", "b", "c"), ("r", "b", "c", "c")]
+        program = _one_stratum(
+            Clause(("no_pair", "X"), (("node", "X"),), neg=(("r", "X", "E", "E"),)),
+        )
+        model = program.evaluate(base)
+        _assert_model(model, set(base) | {("no_pair", "a")})
+
     def test_recursive_clause_reaches_its_closure(self):
         base = [("has", "a", "superclass", "b"), ("has", "b", "superclass", "c"),
                 ("has", "c", "superclass", "d")]
@@ -327,19 +338,89 @@ def _rows_by_key(db: Database) -> dict[tuple, set[tuple]]:
     return {key: set(rows) for key, rows in db._rows.items()}
 
 
-def _naive_rows(program: RuleProgram, base: list) -> dict[tuple, set[tuple]]:
-    """Reference: every stratum re-runs every plan until a round adds nothing."""
-    db = Database()
-    for atom in base:
-        db.add(_key(atom), _row(atom))
-    for plans in program._plans:
+def _unify(atom: tuple, fact: tuple, sub: dict) -> dict | None:
+    """``sub`` extended so that ``atom`` under it equals ``fact``, or None."""
+    if len(atom) != len(fact) or atom[0] != fact[0]:
+        return None
+    sub = dict(sub)
+    for term, value in zip(atom[1:], fact[1:]):
+        if term[0].isupper():
+            if sub.setdefault(term, value) != value:
+                return None
+        elif term != value:
+            return None
+    return sub
+
+
+class _Facts:
+    """A set of ground atoms, listed by predicate and by each argument's value."""
+
+    def __init__(self, atoms=()):
+        self.atoms: set[tuple] = set()
+        self._lists: dict[tuple, list[tuple]] = {}
+        for atom in atoms:
+            self.add(atom)
+
+    def add(self, atom: tuple) -> bool:
+        if atom in self.atoms:
+            return False
+        self.atoms.add(atom)
+        shape = (atom[0], len(atom))
+        self._lists.setdefault(shape, []).append(atom)
+        for pos in range(1, len(atom)):
+            self._lists.setdefault((*shape, pos, atom[pos]), []).append(atom)
+        return True
+
+    def unifying(self, atom: tuple, sub: dict):
+        """Each extension of ``sub`` under which ``atom`` is one of the facts."""
+        shape = (atom[0], len(atom))
+        lists = [self._lists.get(shape, [])]
+        for pos in range(1, len(atom)):
+            value = sub.get(atom[pos], atom[pos])
+            if not value[0].isupper():
+                lists.append(self._lists.get((*shape, pos, value), []))
+        for fact in min(lists, key=len):
+            extended = _unify(atom, fact, sub)
+            if extended is not None:
+                yield extended
+
+
+def _clause_heads(clause: Clause, facts: _Facts) -> set[tuple]:
+    """Test-only matcher: the heads of ``clause`` over ``facts``, by plain
+    substitution dicts.  A variable that only a negated atom names is
+    existential; an unbound term of a ``neq`` compares as written."""
+    subs = [{}]
+    for atom in clause.pos:
+        subs = [extended for sub in subs for extended in facts.unifying(atom, sub)]
+    heads = set()
+    for sub in subs:
+        if any(sub.get(left, left) == sub.get(right, right) for left, right in clause.neq):
+            continue
+        if any(next(facts.unifying(atom, sub), None) is not None for atom in clause.neg):
+            continue
+        heads.add(tuple(sub.get(term, term) for term in clause.head))
+    return heads
+
+
+def _naive_evaluation(program: RuleProgram, base: list) -> tuple[dict, int]:
+    """Reference: every stratum re-runs every clause, through the test-only
+    matcher, until a round adds nothing.  Returns the rows by storage key
+    and the number of clause runs."""
+    facts = _Facts(base)
+    runs = 0
+    for stratum in program.strata:
+        clauses = [clause for rule_id in stratum for clause in program.rule(rule_id).clauses]
         added = True
         while added:
             added = False
-            for plan in plans:
-                for key, row in plan.heads(db):
-                    added = db.add(key, row) or added
-    return _rows_by_key(db)
+            for clause in clauses:
+                runs += 1
+                for head in _clause_heads(clause, facts):
+                    added = facts.add(head) or added
+    db = Database()
+    for atom in facts.atoms:
+        db.add(_key(atom), _row(atom))
+    return _rows_by_key(db), runs
 
 
 class TestClauseSkipping:
@@ -381,12 +462,12 @@ class TestClauseSkipping:
         for store in stores:
             base = fact_base_from_store(store)
             model = program.evaluate(base)
-            assert _rows_by_key(model._db) == _naive_rows(program, base)
+            assert _rows_by_key(model._db) == _naive_evaluation(program, base)[0]
 
     def test_closing_pass_runs_few_plans(self, program, photosynthesis_store, monkeypatch):
         # Plan runs per pass, a deterministic work count.  Naive rounds run
-        # 223 plans on this store and the closing pass all 119; skipping
-        # leaves 131 and 8.  The closing pass may run at most a tenth of
+        # 227 clauses on this store and the closing pass all 121; skipping
+        # leaves 133 and 10.  The closing pass may run at most a tenth of
         # the program.
         runs: list[int] = []
         run_strata, heads = RuleProgram._run_strata, _Plan.heads
@@ -404,9 +485,167 @@ class TestClauseSkipping:
         base = fact_base_from_store(photosynthesis_store)
         program.evaluate(base)
         first, closing = runs
-        runs.append(0)
-        _naive_rows(program, base)
-        naive = runs[-1]
+        naive = _naive_evaluation(program, base)[1]
         plans = sum(len(stratum) for stratum in program._plans)
         assert closing <= plans // 10
         assert plans <= first < naive
+
+    @pytest.mark.parametrize("path, added", [
+        (Path(__file__).parent / "fixtures" / "photosynthesis.facts", 92),
+        (GOLDEN_INPUTS / "ladder.facts", 1000),
+    ], ids=["photosynthesis", "ladder"])
+    def test_every_returned_head_is_added(self, program, path, added, monkeypatch):
+        # A deterministic work count: each plan run returns only distinct
+        # atoms not yet stored, so the heads returned over one evaluation
+        # sum to the atoms it adds.
+        returned: list[int] = []
+        heads = _Plan.heads
+
+        def counted_heads(self, db):
+            found = heads(self, db)
+            returned.append(len(found))
+            return found
+
+        monkeypatch.setattr(_Plan, "heads", counted_heads)
+        base = fact_base_from_store(parse_fact_path(path))
+        model = program.evaluate(base)
+        assert model.size() - len(set(base)) == added
+        assert sum(returned) == added
+
+
+# Random small clauses over random small databases, for the property below.
+_CONSTANTS = ["a", "b"]
+_VARIABLES = ["X", "Y", "Z", "W"]
+_SHAPES = {"p": 2, "q": 1, "r": 3}
+
+
+@st.composite
+def _atoms(draw, terms, predicates=("p", "q", "r", "has"), variable_slot=True):
+    predicate = draw(st.sampled_from(predicates))
+    if predicate == "has":
+        slots = ["s", "t"] + (["S", "X"] if variable_slot else [])
+        subject, value = draw(st.lists(terms, min_size=2, max_size=2))
+        return ("has", subject, draw(st.sampled_from(slots)), value)
+    return (predicate, *draw(st.lists(terms, min_size=_SHAPES[predicate],
+                                      max_size=_SHAPES[predicate])))
+
+
+@st.composite
+def _clauses(draw) -> Clause:
+    pos = tuple(draw(st.lists(_atoms(st.sampled_from(_CONSTANTS + _VARIABLES * 2)),
+                              min_size=1, max_size=4)))
+    bound = sorted({t for atom in pos for t in atom[1:] if t[0].isupper()})
+    known = st.sampled_from(bound + _CONSTANTS)
+    # A head under a stored predicate exercises the filter on stored rows.
+    head_predicate = draw(st.sampled_from(["out", "q", "p", "has"]))
+    if head_predicate == "has":
+        head = ("has", draw(known), draw(st.sampled_from(bound + ["s", "u"])), draw(known))
+    else:
+        arity = draw(st.integers(1, 3)) if head_predicate == "out" else _SHAPES[head_predicate]
+        head = (head_predicate, *draw(st.lists(known, min_size=arity, max_size=arity)))
+    neg, neq = (), ()
+    extra = draw(st.sampled_from(["none", "neg", "neq"]))
+    if extra == "neg":
+        # E occurs only here: an existential variable, possibly repeated.
+        others = [name for name in ("p", "q", "r", "has") if name != head_predicate]
+        terms = st.sampled_from(bound + _CONSTANTS + ["E"])
+        neg = (draw(_atoms(terms, others, variable_slot=False)),)
+    elif extra == "neq" and bound:
+        neq = ((draw(st.sampled_from(bound)), draw(known)),)
+    return Clause(head, pos, neg, neq)
+
+
+_bases = st.lists(
+    st.one_of(
+        st.tuples(st.just("has"), st.sampled_from(_CONSTANTS),
+                  st.sampled_from(["s", "t", "a"]), st.sampled_from(_CONSTANTS)),
+        *(st.tuples(st.just(name), *[st.sampled_from(_CONSTANTS)] * arity)
+          for name, arity in _SHAPES.items()),
+    ),
+    min_size=4,
+    max_size=24,
+)
+
+
+def _atom(key: tuple, row: tuple) -> tuple:
+    return ("has", row[0], key[1], row[1]) if key[0] == "has" else (key[0], *row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clauses(), _bases)
+def test_compiled_heads_are_the_new_heads_of_the_reference_matcher(clause, base):
+    plan = _one_stratum(clause)._plans[0][0]
+    db = Database()
+    for atom in base:
+        db.add(_key(atom), _row(atom))
+    found = plan.heads(db)
+    assert len(found) == len(set(found))
+    expected = _clause_heads(clause, _Facts(base)) - set(base)
+    assert {_atom(key, row) for key, row in found} == expected
+
+
+class TestCompilation:
+    @pytest.mark.parametrize("length", [20, 21, 25])
+    def test_nesting_limit(self, length):
+        # A chain body needs one loop per atom; CPython compiles at most 20.
+        body = tuple(("p", f"X{i}", f"X{i + 1}") for i in range(length))
+        rules = [RuleDef("chain", "r", (Clause(("start", "X0"), body),))]
+        if length > 20:
+            with pytest.raises(CompileError, match=f"^chain: .* {length} nested loops"):
+                RuleProgram(rules, [["chain"]])
+            return
+        program = RuleProgram(rules, [["chain"]])
+        base = [("p", f"n{i}", f"n{i + 1}") for i in range(length + 1)]
+        assert program.evaluate(base).atoms("start", 1) == {("n0",), ("n1",)}
+
+    def test_fixed_rows_are_membership_tests(self):
+        # Atoms whose row is fixed add no loop, so such a body may be long.
+        body = (("p", "X", "Y"),) + tuple(("q", "X", f"c{i}") for i in range(30))
+        program = _one_stratum(Clause(("hit", "X"), body))
+        base = [("p", "a", "b"), ("p", "b", "c")] + [("q", "a", f"c{i}") for i in range(30)]
+        assert program.evaluate(base).atoms("hit", 1) == {("a",)}
+
+    def test_source_holds_no_program_term(self, program):
+        for plans in program._plans:
+            for plan in plans:
+                for name in ("match_with", "has", "low", "instance_of", "event"):
+                    assert f"'{name}'" not in plan.source
+                    assert f'"{name}"' not in plan.source
+
+
+class TestDifferentialMemory:
+    def test_engine_result_released_before_evaluation(self, program, photosynthesis_store,
+                                                      monkeypatch):
+        results = []
+        run_pipeline, evaluate = oracle.run_pipeline, RuleProgram.evaluate
+
+        def kept(store):
+            result = run_pipeline(store)
+            results.append(weakref.ref(result))
+            return result
+
+        def checked(self, base):
+            assert [ref() for ref in results] == [None]
+            return evaluate(self, base)
+
+        monkeypatch.setattr(oracle, "run_pipeline", kept)
+        monkeypatch.setattr(RuleProgram, "evaluate", checked)
+        gc.disable()
+        try:
+            assert differential_check(photosynthesis_store, program).passed
+        finally:
+            gc.enable()
+
+    def test_default_program_is_built_once(self, photosynthesis_store, monkeypatch):
+        built = []
+        encode = oracle.encode_program
+
+        def counted():
+            built.append(1)
+            return encode()
+
+        monkeypatch.setattr(oracle, "encode_program", counted)
+        oracle._default_program.cache_clear()
+        differential_check(photosynthesis_store)
+        differential_check(photosynthesis_store)
+        assert built == [1]
