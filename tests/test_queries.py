@@ -3,9 +3,10 @@ import json
 import pytest
 
 from kdgraph.facts import parse_fact_file
-from kdgraph.graph import rooted_subgraph
+from kdgraph.graph import SLOT_FAMILIES, DescriptionGraph, Edge, NodeKind, rooted_subgraph
 from kdgraph.pipeline import run_pipeline
 from kdgraph.queries import (
+    DEFAULT_PATH_CAP,
     QueryError,
     how_occurs,
     how_produces,
@@ -207,3 +208,84 @@ class TestAnswerExports:
         assert dot.startswith("digraph")
         assert '"photosynthesis"' in dot
         assert "peripheries=2" in dot
+
+
+def _event_graph(*triples: tuple[str, str, str]) -> DescriptionGraph:
+    """A typed graph of event nodes with one edge per (source, slot, target)."""
+    graph = DescriptionGraph("kdg")
+    for source, slot, target in triples:
+        graph.nodes[source] = graph.nodes[target] = NodeKind.EVENT
+        graph.edges.add(Edge(source, slot, target, SLOT_FAMILIES[slot]))
+    return graph
+
+
+def _chain(slot: str, nodes: list[str]) -> list[tuple[str, str, str]]:
+    return [(a, slot, b) for a, b in zip(nodes, nodes[1:])]
+
+
+def _roled(answer, role: str) -> list[tuple[str, str, str]]:
+    return [(a.source, a.slot, a.target) for a in answer.annotations if a.role == role]
+
+
+class TestPathSemantics:
+    """Simple paths of at most DEFAULT_PATH_CAP edges, in depth-first order."""
+
+    @pytest.mark.parametrize("length", [DEFAULT_PATH_CAP, DEFAULT_PATH_CAP + 1])
+    def test_ordering_chain_up_to_the_cap(self, length):
+        expected = _chain("next_event", ["x", *(f"m{i}" for i in range(length - 1)), "y"])
+        kdg = _event_graph(("top", "subevent", "x"), ("top", "subevent", "y"), *expected)
+        ordering = _roled(how_related(kdg, "x", "y"), "ordering-path")
+        assert ordering == (expected if length <= DEFAULT_PATH_CAP else [])
+
+    def test_parallel_ordering_edges_give_two_paths(self):
+        kdg = _event_graph(
+            ("top", "subevent", "x"),
+            ("top", "subevent", "y"),
+            ("x", "enables", "y"),
+            ("x", "next_event", "y"),
+        )
+        assert _roled(how_related(kdg, "x", "y"), "ordering-path") == [
+            ("x", "enables", "y"),
+            ("x", "next_event", "y"),
+        ]
+
+    def test_ordering_path_continues_through_a_goal(self):
+        # y's branch is top -> mid -> y, so mid and y are both goals from x.
+        kdg = _event_graph(
+            ("top", "subevent", "x"),
+            ("top", "subevent", "mid"),
+            ("mid", "subevent", "y"),
+            ("x", "enables", "mid"),
+            ("mid", "next_event", "y"),
+        )
+        assert _roled(how_related(kdg, "x", "y"), "ordering-path") == [
+            ("x", "enables", "mid"),
+            ("x", "enables", "mid"),
+            ("mid", "next_event", "y"),
+        ]
+
+    @pytest.mark.parametrize("length", [DEFAULT_PATH_CAP, DEFAULT_PATH_CAP + 1])
+    def test_importance_chain_up_to_the_cap(self, length):
+        nodes = [f"n{i}" for i in range(length + 1)]
+        expected = _chain("important", nodes)
+        store = parse_fact_file("".join(f"has({a}, {s}, {b}).\n" for a, s, b in expected))
+        kdg = DescriptionGraph("kdg", nodes=dict.fromkeys(nodes, NodeKind.EVENT))
+        answer = why_important(kdg, store, nodes[0], nodes[-1])
+        assert _roled(answer, "important-path") == (expected if length <= DEFAULT_PATH_CAP else [])
+        assert ("no importance path found" in answer.notes) == (length > DEFAULT_PATH_CAP)
+
+    def test_shared_importance_link_is_drawn_per_path(self):
+        store = parse_fact_file(
+            "has(a, important, b).\nhas(a, important, c).\n"
+            "has(c, important, b).\nhas(b, important, d).\n"
+        )
+        kdg = DescriptionGraph("kdg", nodes=dict.fromkeys("abcd", NodeKind.EVENT))
+        answer = why_important(kdg, store, "a", "d")
+        assert _roled(answer, "important-path") == [
+            ("a", "important", "b"),
+            ("b", "important", "d"),
+            ("a", "important", "c"),
+            ("c", "important", "b"),
+            ("b", "important", "d"),
+        ]
+        assert answer.to_dot().count('"b" -> "d" [label="important" color=red];') == 2
