@@ -15,13 +15,12 @@ exist), 2 usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from .diagnostics import Diagnostic, error, warn
-from .facts import FactSyntaxError, KnowledgeStore, merge_stores, parse_fact_path
+from .facts import FactSyntaxError, KnowledgeStore, dumps, merge_stores, parse_fact_path
 from .fuzz import random_store
 from .graph import GraphCycleError, UnknownNodeError, rooted_subgraph
 from .linking import ChainError, synthesize_super_event
@@ -83,7 +82,7 @@ def _cmd_resolve(args) -> int:
         "matches": result.matches.report(),
         "spatial": result.spatial.report(),
     }
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _write(dumps(payload), args.out)
     return 0
 
 
@@ -122,7 +121,7 @@ def _cmd_link(args) -> int:
         "chains": result.chains,
         "super_events": patches,
     }
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _write(dumps(payload), args.out)
     if args.patch is not None:
         lines = []
         for patch in patches:
@@ -137,17 +136,13 @@ def _cmd_query(args) -> int:
     kdg = result.kdg
     if args.pattern == "how-occurs":
         answer = how_occurs(kdg, args.x)
+    elif args.y is None:
+        raise QueryError("this pattern needs --y")
     elif args.pattern == "how-produces":
-        if args.y is None:
-            raise QueryError("this pattern needs --y")
         answer = how_produces(kdg, result.store, result.matches, args.x, args.y)
     elif args.pattern == "how-related":
-        if args.y is None:
-            raise QueryError("this pattern needs --y")
         answer = how_related(kdg, args.x, args.y)
     else:
-        if args.y is None:
-            raise QueryError("this pattern needs --y")
         answer = why_important(kdg, result.store, args.x, args.y)
     _write(answer.to_dot() if args.format == "dot" else answer.to_json(), args.out)
     return 0

@@ -189,19 +189,16 @@ def _diag(diagnostics: list[Diagnostic] | None, item: Diagnostic):
         diagnostics.append(item)
 
 
-def derive_next_events(store: KnowledgeStore) -> set[Fact]:
+def derive_next_events(store: KnowledgeStore):
     """next_event facts from every enables/causes/prevents/inhibits fact."""
-    added: set[Fact] = set()
     for slot in ("enables", "causes", "prevents", "inhibits"):
         for fact in store.query(slot=slot):
-            if derived := store.add_derived(fact.subject, "next_event", fact.value, "e2"):
-                added.add(derived)
-    return added
+            store.add_derived(fact.subject, "next_event", fact.value, "e2")
 
 
 def derive_first_last_subevents(
     store: KnowledgeStore, diagnostics: list[Diagnostic] | None = None
-) -> set[Fact]:
+):
     """first_subevent/last_subevent facts per parent.
 
     A subevent is first when no sibling is its next_event predecessor, and
@@ -209,7 +206,6 @@ def derive_first_last_subevents(
     not form one simple chain still get per-definition facts, plus a
     broken-chain diagnostic.
     """
-    added: set[Fact] = set()
     parents = sorted({f.subject for f in store.query(slot="subevent")})
     for parent in parents:
         members = set(store.values(parent, "subevent"))
@@ -220,11 +216,9 @@ def derive_first_last_subevents(
         predecessors = Counter(nxt for nexts in successors.values() for nxt in nexts)
         for member in sorted(members):
             if not predecessors[member]:
-                if derived := store.add_derived(parent, "first_subevent", member, "e5"):
-                    added.add(derived)
+                store.add_derived(parent, "first_subevent", member, "e5")
             if not successors[member]:
-                if derived := store.add_derived(parent, "last_subevent", member, "e6"):
-                    added.add(derived)
+                store.add_derived(parent, "last_subevent", member, "e6")
         if len(members) >= 2 and not _is_simple_chain(members, successors, predecessors):
             _diag(
                 diagnostics,
@@ -233,7 +227,6 @@ def derive_first_last_subevents(
                     f"subevents of {parent} do not form one simple next_event chain",
                 ),
             )
-    return added
 
 
 def _is_simple_chain(
@@ -262,7 +255,7 @@ def classify_event_kind(
     kinds: dict[str, EventKind] = {}
     for event in store.subjects("instance_of", "event"):
         transport = any(
-            transport_class == cls or hierarchy.is_ancestor(transport_class, cls)
+            hierarchy.descends_from(cls, transport_class)
             for cls in store.values(event, "instance_of")
             for transport_class in TRANSPORT_CLASSES
         )
@@ -317,9 +310,7 @@ _BOUNDARY_READS: list[tuple[str, dict[EventKind, _Reads]]] = [
 ]
 
 
-def propagate_io(
-    store: KnowledgeStore, kinds: dict[str, EventKind]
-) -> set[Fact]:
+def propagate_io(store: KnowledgeStore, kinds: dict[str, EventKind]):
     """Copy IO relations up through first/last subevents to a fixpoint.
 
     Input-side relations flow from the first subevent, output-side from
@@ -366,8 +357,6 @@ def propagate_io(
             for reader in readers.get((fact.subject, slot), ()):
                 pending.setdefault(reader, []).append(fact)
     queue = [(0, position) for position in sorted(pending)]
-
-    added: set[Fact] = set()
     while queue:
         round_, position = heapq.heappop(queue)
         target, _, reads = steps[position]
@@ -376,24 +365,19 @@ def propagate_io(
                 derived = store.add_derived(target, slot, fact.value, rule)
                 if derived is None:
                     continue
-                added.add(derived)
                 for reader in readers.get((target, slot), ()):
                     if reader not in pending:
                         pending[reader] = []
                         later = round_ if reader > position else round_ + 1
                         heapq.heappush(queue, (later, reader))
                     pending[reader].append(derived)
-    return added
 
 
-def default_output_location(store: KnowledgeStore) -> set[Fact]:
+def default_output_location(store: KnowledgeStore):
     """Events with input locations but no output location get the former
     copied over as their output location."""
-    added: set[Fact] = set()
     for event in store.subjects("instance_of", "event"):
         if store.values(event, "output_location"):
             continue
         for location in store.values(event, "input_location"):
-            if derived := store.add_derived(event, "output_location", location, DEFAULT_OUTPUT_RULE):
-                added.add(derived)
-    return added
+            store.add_derived(event, "output_location", location, DEFAULT_OUTPUT_RULE)

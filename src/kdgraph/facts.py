@@ -201,7 +201,12 @@ class KnowledgeStore:
             }
             for f in (self.facts() if facts is None else sorted(facts, key=lambda f: f.triple))
         ]
-        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        return dumps(rows)
+
+
+def dumps(payload) -> str:
+    """The JSON text of every kdgraph output: indented, keys sorted."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class _Scanner:

@@ -16,17 +16,19 @@ and :func:`depth_first` walks any successor map iteratively, returning
 the post-order and, on a back edge, a witness cycle.  The rule-program
 oracle (:mod:`kdgraph.oracle`) must not use either: the differential
 check means something only while the engine and the oracle share no code.
+
+:meth:`DescriptionGraph.to_dot` is the one DOT writer, for graphs and for
+query answers alike; JSON text goes through :func:`kdgraph.facts.dumps`.
 """
 
 from __future__ import annotations
 
-import json
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .diagnostics import Diagnostic, warn
-from .facts import KnowledgeStore
+from .facts import KnowledgeStore, dumps
 
 
 class EdgeFamily(Enum):
@@ -194,16 +196,31 @@ class DescriptionGraph:
         }
 
     def to_json(self) -> str:
-        payload = {"variant": self.variant, **self.json_payload()}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return dumps({"variant": self.variant, **self.json_payload()})
 
-    def to_dot(self) -> str:
-        lines = ["digraph kdg {"]
+    def to_dot(
+        self,
+        name: str = "kdg",
+        focus: Collection[str] = (),
+        colors: Mapping[tuple[str, str, str], str] | None = None,
+        extra: Iterable[tuple[str, str, str]] = (),
+    ) -> str:
+        """DOT text of every graph and answer: focus nodes get a double
+        border, ordering edges are dashed, an edge whose key is in
+        ``colors`` gets that colour, and each ``extra`` key is drawn after
+        the graph's edges as one more labelled edge."""
+        colors = colors or {}
+        lines = [f"digraph {name} {{"]
         for node, kind in sorted(self.nodes.items()):
-            lines.append(f'  "{node}" [shape={DOT_SHAPES[kind]}];')
-        for edge in self.sorted_edges():
-            style = ' style=dashed' if edge.family is EdgeFamily.ORDERING else ""
-            lines.append(f'  "{edge.source}" -> "{edge.target}" [label="{edge.slot}"{style}];')
+            peripheries = " peripheries=2" if node in focus else ""
+            lines.append(f'  "{node}" [shape={DOT_SHAPES[kind]}{peripheries}];')
+        drawn = [(e.key(), e.family is EdgeFamily.ORDERING) for e in self.sorted_edges()]
+        for key, dashed in drawn + [(key, False) for key in extra]:
+            source, slot, target = key
+            attrs = f'label="{slot}"' + (" style=dashed" if dashed else "")
+            if key in colors:
+                attrs += f" color={colors[key]}"
+            lines.append(f'  "{source}" -> "{target}" [{attrs}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -10,7 +10,9 @@ triples appear as ``("has", subject, slot, value)``.  Terms starting with
 an uppercase letter are variables.  Negated body atoms use negation as
 failure; variables appearing only under negation are existential.  A
 load-time check enforces that every negated predicate is fully defined in
-a strictly earlier stratum.  Positive references to later strata exist
+a strictly earlier stratum (a ``has`` head with a variable slot defines
+every ``has`` key), and that a positive atom binds every head and ``neq``
+variable.  Positive references to later strata exist
 (typing rules can read propagated participant slots) and are provably
 redundant; evaluation verifies this with a final re-pass that must add
 nothing.
@@ -431,18 +433,13 @@ class RuleProgram:
     def rule(self, rule_id: str) -> RuleDef:
         return self._by_id[rule_id]
 
-    def group_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for rule in self.rules:
-            counts[rule.group] = counts.get(rule.group, 0) + 1
-        return counts
-
     def _check_stratification(self):
         defined_in: dict[tuple, set[int]] = {}
         for index, stratum in enumerate(self.strata):
             for rule_id in stratum:
                 for clause in self._by_id[rule_id].clauses:
-                    key = _key(clause.head)
+                    # A has head with a variable slot defines every has key.
+                    key = _key(clause.head) or _ANY_HAS
                     defined_in.setdefault(key, set()).add(index)
         for index, stratum in enumerate(self.strata):
             for rule_id in stratum:
@@ -453,7 +450,8 @@ class RuleProgram:
                             raise StratificationError(
                                 f"{rule_id}: negated atom with unresolved slot"
                             )
-                        if any(d >= index for d in defined_in.get(key, set())):
+                        clashing = (key, _ANY_HAS) if key[0] == "has" else (key,)
+                        if any(d >= index for k in clashing for d in defined_in.get(k, ())):
                             raise StratificationError(
                                 f"{rule_id}: negated predicate {key} is not "
                                 "fully defined in an earlier stratum"
@@ -464,6 +462,8 @@ class RuleProgram:
                     }
                     if not head_vars <= pos_vars:
                         raise StratificationError(f"{rule_id}: unsafe head variables")
+                    if not {t for pair in clause.neq for t in pair if is_variable(t)} <= pos_vars:
+                        raise StratificationError(f"{rule_id}: unsafe neq variables")
 
     def evaluate(self, base: list[Atom]) -> Model:
         db = Database()

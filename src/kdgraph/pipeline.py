@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .derivation import (
-    EventKind,
     IORelation,
     classify_event_kind,
     default_output_location,
@@ -36,7 +35,6 @@ class PipelineResult:
     store: KnowledgeStore
     hierarchy: ClassHierarchy
     kdg: DescriptionGraph
-    kinds: dict[str, EventKind]
     io_relations: list[IORelation]
     derived: list[Fact]
     matches: MatchSet
@@ -107,7 +105,6 @@ def run_pipeline(
         store=store,
         hierarchy=hierarchy,
         kdg=kdg,
-        kinds=kinds,
         io_relations=io_relations,
         derived=store.derived_facts(),
         matches=matches,

@@ -5,27 +5,36 @@ subgraphs of the typed description graph.  Four patterns are supported:
 how an event occurs, how an event produces an entity, how two nodes are
 related through their lowest common containing node(s), and why one node
 is important to another (the relation answer plus importance links).
+
+Ordering paths and importance paths are both enumerated by ``_paths``, one
+iterative depth-first loop capped at ``DEFAULT_PATH_CAP`` edges, and an
+answer is drawn by the graph's own DOT writer with its annotations coloured.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from .facts import KnowledgeStore
+from .facts import KnowledgeStore, dumps
 from .graph import (
-    DOT_SHAPES,
     DescriptionGraph,
     Edge,
     EdgeFamily,
     NodeKind,
     adjacency,
+    depth_first,
     rooted_subgraph,
 )
 from .resolution import MatchSet
 
 # Longest ordering or importance path, in edges, that an answer follows.
 DEFAULT_PATH_CAP = 8
+
+ROLE_COLORS = {
+    "component-path": "blue",
+    "ordering-path": "darkgreen",
+    "important-path": "red",
+}
 
 
 class QueryError(ValueError):
@@ -65,41 +74,17 @@ class AnswerStructure:
                 )
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return dumps(payload)
 
     def to_dot(self) -> str:
-        colors = {
-            "component-path": "blue",
-            "ordering-path": "darkgreen",
-            "important-path": "red",
-        }
-        tagged = {
-            (a.source, a.slot, a.target): a.role for a in self.annotations
-        }
-        lines = [f"digraph {self.pattern.replace('-', '_')} {{"]
-        for node, kind in sorted(self.graph.nodes.items()):
-            peripheries = ' peripheries=2' if node in self.focus else ""
-            lines.append(f'  "{node}" [shape={DOT_SHAPES[kind]}{peripheries}];')
-        rendered = set()
-        for edge in self.graph.sorted_edges():
-            key = (edge.source, edge.slot, edge.target)
-            rendered.add(key)
-            attrs = [f'label="{edge.slot}"']
-            if edge.family is EdgeFamily.ORDERING:
-                attrs.append("style=dashed")
-            if key in tagged:
-                attrs.append(f"color={colors[tagged[key]]}")
-            lines.append(f'  "{edge.source}" -> "{edge.target}" [{" ".join(attrs)}];')
-        for ann in sorted(self.annotations, key=lambda a: (a.source, a.slot, a.target)):
-            key = (ann.source, ann.slot, ann.target)
-            if key in rendered:
-                continue
-            lines.append(
-                f'  "{ann.source}" -> "{ann.target}" '
-                f'[label="{ann.slot}" color={colors[ann.role]}];'
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        keys = [(a.source, a.slot, a.target) for a in self.annotations]
+        drawn = {edge.key() for edge in self.graph.edges}
+        return self.graph.to_dot(
+            self.pattern.replace("-", "_"),
+            self.focus,
+            {key: ROLE_COLORS[a.role] for key, a in zip(keys, self.annotations)},
+            sorted(key for key in keys if key not in drawn),
+        )
 
 
 def _no_answer(pattern: str, focus: list[str], reason: str) -> AnswerStructure:
@@ -174,15 +159,9 @@ def how_produces(
 
 
 def _ancestors_or_self(node: str, parents: dict[str, list[str]]) -> set[str]:
-    seen = {node}
-    frontier = [node]
-    while frontier:
-        current = frontier.pop()
-        for parent in parents.get(current, ()):
-            if parent not in seen:
-                seen.add(parent)
-                frontier.append(parent)
-    return seen
+    # Compositional edges form no cycle (build_kdg checks), so the walk
+    # meets no back edge and its post-order holds every ancestor.
+    return set(depth_first(parents, [node])[0])
 
 
 def _component_path(children: dict[str, list[Edge]], top: str, bottom: str) -> list[Edge]:
@@ -212,24 +191,21 @@ def _component_path(children: dict[str, list[Edge]], top: str, bottom: str) -> l
     raise QueryError(f"no compositional path from {top} to {bottom}")
 
 
-def _ordering_paths(
-    successors: dict[str, list[Edge]], origins: set[str], goals: set[str]
-) -> list[list[Edge]]:
-    """Simple directed ordering-edge paths from an origin to a goal."""
-    paths: list[list[Edge]] = []
-
-    def walk(node: str, trail: list[Edge], visited: set[str]):
-        if trail and node in goals:
-            paths.append(list(trail))
-        if len(trail) >= DEFAULT_PATH_CAP:
-            return
-        for edge in successors.get(node, ()):
-            if edge.target in visited:
-                continue
-            walk(edge.target, trail + [edge], visited | {edge.target})
-
-    for origin in sorted(origins):
-        walk(origin, [], {origin})
+def _paths(successors: dict[str, list], origins: list[str], goals: set[str]) -> list[list]:
+    """Simple paths of 1 to ``DEFAULT_PATH_CAP`` edges from an origin to a
+    goal, as edge lists in depth-first pre-order: origins and successors in
+    the order given, and a path goes on through the goals it reaches.  An
+    edge is anything with a ``target``."""
+    paths = []
+    stack: list[tuple[list, list[str]]] = [([], [origin]) for origin in reversed(origins)]
+    while stack:
+        edges, nodes = stack.pop()
+        if edges and nodes[-1] in goals:
+            paths.append(edges)
+        if len(edges) < DEFAULT_PATH_CAP:
+            for edge in reversed(successors.get(nodes[-1], ())):
+                if edge.target not in nodes:
+                    stack.append((edges + [edge], nodes + [edge.target]))
     return paths
 
 
@@ -272,7 +248,7 @@ def how_related(kdg: DescriptionGraph, x: str, y: str) -> AnswerStructure:
                 bucket.update((edge.source, edge.target))
     successors = adjacency(kdg, [EdgeFamily.ORDERING])
     for origins, goals in ((x_nodes, y_nodes), (y_nodes, x_nodes)):
-        for path in _ordering_paths(successors, origins, goals):
+        for path in _paths(successors, sorted(origins), goals):
             for edge in path:
                 include(edge, "ordering-path")
     return AnswerStructure(
@@ -293,22 +269,12 @@ def why_important(
         if node not in kdg.nodes:
             raise QueryError(f"unknown node: {node}")
     related = how_related(kdg, x, y)
-    successors: dict[str, list[str]] = {}
-    for fact in store.query(slot="important"):
-        successors.setdefault(fact.subject, []).append(fact.value)
-    paths: list[list[str]] = []
-
-    def walk(node: str, trail: list[str]):
-        if node == y and len(trail) > 1:
-            paths.append(list(trail))
-            return
-        if len(trail) > DEFAULT_PATH_CAP:
-            return
-        for nxt in sorted(successors.get(node, ())):
-            if nxt not in trail:
-                walk(nxt, trail + [nxt])
-
-    walk(x, [x])
+    links: dict[str, list[EdgeAnnotation]] = {}
+    for fact in store.query(slot="important"):  # each subject's links sorted by target
+        links.setdefault(fact.subject, []).append(
+            EdgeAnnotation(fact.subject, "important", fact.value, "important-path")
+        )
+    paths = _paths(links, [x], {y})
     answer = AnswerStructure(
         pattern="why-important",
         focus=[x, y],
@@ -320,13 +286,11 @@ def why_important(
     )
     if paths:
         for path in paths:
-            for source, target in zip(path, path[1:]):
-                for node in (source, target):
+            for link in path:
+                for node in (link.source, link.target):
                     if node in kdg.nodes:
                         answer.graph.nodes.setdefault(node, kdg.kind(node))
-                answer.annotations.append(
-                    EdgeAnnotation(source, "important", target, "important-path")
-                )
+                answer.annotations.append(link)
     else:
         answer.notes.append("no importance path found")
     if not answer.answered:

@@ -68,9 +68,6 @@ class ClassHierarchy:
         """All classes strictly above ``cls``; empty for unknown classes."""
         return self._ancestors.get(cls, frozenset())
 
-    def is_ancestor(self, ancestor: str, cls: str) -> bool:
-        return ancestor in self.ancestors(cls)
-
     def descends_from(self, cls: str, root: str) -> bool:
         """True when ``cls`` is ``root`` itself or lies below it."""
         return cls == root or root in self.ancestors(cls)

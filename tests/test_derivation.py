@@ -31,6 +31,10 @@ def _typing(text):
     return store, typing, diagnostics
 
 
+def _derived(store):
+    return {f.triple for f in store.derived_facts()}
+
+
 class TestTyping:
     def test_event_from_subevent_edges(self):
         store, typing, _ = _typing(
@@ -86,19 +90,18 @@ class TestTyping:
 class TestNextEvents:
     def test_enables(self):
         store = parse_fact_file("has(light_reaction, enables, calvin_cycle).")
-        added = derive_next_events(store)
-        assert {f.triple for f in added} == {
-            ("light_reaction", "next_event", "calvin_cycle")
-        }
+        derive_next_events(store)
+        assert _derived(store) == {("light_reaction", "next_event", "calvin_cycle")}
 
     def test_no_ordering_edges(self):
         store = parse_fact_file("has(a, subevent, b).")
-        assert derive_next_events(store) == set()
+        derive_next_events(store)
+        assert _derived(store) == set()
 
     def test_prevents_and_causes(self):
         store = parse_fact_file("has(e, prevents, f).\nhas(e, causes, g).")
-        added = derive_next_events(store)
-        assert {f.triple for f in added} == {
+        derive_next_events(store)
+        assert _derived(store) == {
             ("e", "next_event", "f"),
             ("e", "next_event", "g"),
         }
@@ -112,8 +115,8 @@ class TestFirstLastSubevents:
             "has(light_reaction, next_event, calvin_cycle)."
         )
         diagnostics = []
-        added = derive_first_last_subevents(store, diagnostics)
-        assert {f.triple for f in added} == {
+        derive_first_last_subevents(store, diagnostics)
+        assert _derived(store) == {
             ("photosynthesis", "first_subevent", "light_reaction"),
             ("photosynthesis", "last_subevent", "calvin_cycle"),
         }
@@ -121,8 +124,8 @@ class TestFirstLastSubevents:
 
     def test_singleton(self):
         store = parse_fact_file("has(z, subevent, e1).")
-        added = derive_first_last_subevents(store)
-        assert {f.triple for f in added} == {
+        derive_first_last_subevents(store)
+        assert _derived(store) == {
             ("z", "first_subevent", "e1"),
             ("z", "last_subevent", "e1"),
         }
@@ -130,8 +133,8 @@ class TestFirstLastSubevents:
     def test_unordered_pair_gets_all_four_facts_and_diagnostic(self):
         store = parse_fact_file("has(z, subevent, a).\nhas(z, subevent, b).")
         diagnostics = []
-        added = derive_first_last_subevents(store, diagnostics)
-        assert {f.triple for f in added} == {
+        derive_first_last_subevents(store, diagnostics)
+        assert _derived(store) == {
             ("z", "first_subevent", "a"),
             ("z", "first_subevent", "b"),
             ("z", "last_subevent", "a"),
@@ -145,8 +148,8 @@ class TestFirstLastSubevents:
             "has(z, subevent, a).\nhas(z, subevent, b).\n"
             "has(a, next_event, b).\nhas(b, next_event, outside)."
         )
-        added = {f.triple for f in derive_first_last_subevents(store)}
-        assert ("z", "last_subevent", "b") in added
+        derive_first_last_subevents(store)
+        assert ("z", "last_subevent", "b") in _derived(store)
 
     def test_rule_provenance_recorded(self, photosynthesis_store):
         run_pipeline(photosynthesis_store)
@@ -162,7 +165,8 @@ class TestFirstLastSubevents:
             "has(a, next_event, b).\nhas(b, next_event, c)."
         )
         diagnostics = []
-        added = {f.triple for f in derive_first_last_subevents(store, diagnostics)}
+        derive_first_last_subevents(store, diagnostics)
+        added = _derived(store)
         firsts = {t for t in added if t[1] == "first_subevent"}
         lasts = {t for t in added if t[1] == "last_subevent"}
         assert firsts == {("z", "first_subevent", "a")}
@@ -195,8 +199,9 @@ class TestEventKinds:
 
     def test_eukaryote_fixture(self, eukaryote_store):
         result = run_pipeline(eukaryote_store)
-        assert result.kinds["move_out"] is EventKind.TRANSPORT
-        assert result.kinds["eukaryotic_transcription"] is EventKind.OPERATIONAL
+        kinds = classify_event_kind(result.store, result.hierarchy)
+        assert kinds["move_out"] is EventKind.TRANSPORT
+        assert kinds["eukaryotic_transcription"] is EventKind.OPERATIONAL
 
 
 class TestDirectIO:
@@ -227,6 +232,7 @@ class TestDirectIO:
 
     def test_relation_views_match_table(self, eukaryote_store):
         result = run_pipeline(eukaryote_store)
+        kinds = classify_event_kind(result.store, result.hierarchy)
         transport_roles = {
             "object": {"input", "output"},
             "base": {"input_location"},
@@ -244,7 +250,7 @@ class TestDirectIO:
         for relation in result.io_relations:
             table = (
                 transport_roles
-                if result.kinds[relation.event] is EventKind.TRANSPORT
+                if kinds[relation.event] is EventKind.TRANSPORT
                 else operational_roles
             )
             assert relation.role in table[relation.via_slot]
@@ -309,8 +315,8 @@ class TestDefaultOutputLocation:
         store = parse_fact_file(
             "has(e, instance_of, event).\nhas(e, input_location, nucleus1)."
         )
-        added = default_output_location(store)
-        assert {f.triple for f in added} == {("e", "output_location", "nucleus1")}
+        default_output_location(store)
+        assert _derived(store) == {("e", "output_location", "nucleus1")}
 
     def test_explicit_output_location_untouched(self):
         store = parse_fact_file(
@@ -318,11 +324,13 @@ class TestDefaultOutputLocation:
             "has(e, input_location, nucleus1).\n"
             "has(e, output_location, cytoplasm1)."
         )
-        assert default_output_location(store) == set()
+        default_output_location(store)
+        assert _derived(store) == set()
 
     def test_no_locations_untouched(self):
         store = parse_fact_file("has(e, instance_of, event).")
-        assert default_output_location(store) == set()
+        default_output_location(store)
+        assert _derived(store) == set()
 
     def test_eukaryote_defaults(self, eukaryote_store):
         result = run_pipeline(eukaryote_store)

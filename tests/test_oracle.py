@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,7 +37,7 @@ def program():
 
 class TestProgramShape:
     def test_group_counts_match_catalog(self, program):
-        assert program.group_counts() == {
+        assert Counter(rule.group for rule in program.rules) == {
             "t": 23,
             "e": 6,
             "ev": 3,
@@ -86,8 +87,34 @@ class TestStratificationChecks:
         with pytest.raises(StratificationError):
             RuleProgram(rules, [["r1"], ["r2"]])
 
+    # r1's head, with a variable slot, defines every has key, the one r2 negates too.
+    VARIABLE_SLOT_RULES = [
+        RuleDef("r1", "r", (Clause(("has", "X", "S", "Y"), (("copy", "X", "S", "Y"),)),)),
+        RuleDef(
+            "r2",
+            "r",
+            (Clause(("lonely", "X"), (("node", "X"),), neg=(("has", "X", "s", "ANY"),)),),
+        ),
+    ]
+
+    @pytest.mark.parametrize("strata", [[["r1", "r2"]], [["r2", "r1"]], [["r2"], ["r1"]]])
+    def test_negated_has_key_under_variable_slot_head_rejected(self, strata):
+        with pytest.raises(StratificationError):
+            RuleProgram(self.VARIABLE_SLOT_RULES, strata)
+
+    def test_negated_has_key_after_variable_slot_head_loads(self):
+        program = RuleProgram(self.VARIABLE_SLOT_RULES, [["r1"], ["r2"]])
+        model = program.evaluate([("node", "a"), ("copy", "a", "s", "b")])
+        assert ("has", "a", "s", "b") in model
+        assert ("lonely", "a") not in model
+
     def test_unsafe_head_rejected(self):
         rules = [RuleDef("r1", "r", (Clause(("p", "X", "Y"), (("q", "X"),)),))]
+        with pytest.raises(StratificationError):
+            RuleProgram(rules, [["r1"]])
+
+    def test_unbound_neq_variable_rejected(self):
+        rules = [RuleDef("r1", "r", (Clause(("other", "X"), (("node", "X"),), neq=(("X", "Y"),)),))]
         with pytest.raises(StratificationError):
             RuleProgram(rules, [["r1"]])
 

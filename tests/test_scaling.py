@@ -51,10 +51,12 @@ def _stage_work(monkeypatch, store, stage: str) -> tuple[int, int, int]:
     run = getattr(pipeline, stage)
 
     def counted(*args):
+        before = len(args[0])  # every counted stage takes the store first
         with monkeypatch.context() as patch:
             _count_calls(patch, owner(args), method, calls, stage)
             result = run(*args)
-        outputs[stage] = len(result)
+        # propagate_io returns nothing: its output is what the store gained.
+        outputs[stage] = len(args[0]) - before if result is None else len(result)
         return result
 
     asserted = len(store)

@@ -1,8 +1,11 @@
 """The shared traversal layer: adjacency grouping, the iterative DFS, and
 the walks routed through it on inputs deeper than the recursion limit."""
 
+import ast
 import sys
+from pathlib import Path
 
+import kdgraph
 from kdgraph.facts import Fact, KnowledgeStore, Provenance
 from kdgraph.graph import (
     DescriptionGraph,
@@ -23,6 +26,46 @@ def _chain(length: int) -> list[str]:
 
 
 DEEP = sys.getrecursionlimit() + 100
+
+
+def _self_recursive(source: str) -> list[str]:
+    """Functions that call themselves by name, or as ``self.name``/``cls.name``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if (isinstance(func, ast.Name) and func.id == node.name) or (
+                isinstance(func, ast.Attribute)
+                and func.attr == node.name
+                and isinstance(func.value, ast.Name)
+                and func.value.id in ("self", "cls")
+            ):
+                found.append(node.name)
+                break
+    return found
+
+
+class TestNoRecursion:
+    """Input depth never sets recursion depth: the engine has no recursive function."""
+
+    def test_scan_finds_recursion(self):
+        assert _self_recursive("def walk(n):\n    return walk(n - 1)\n") == ["walk"]
+        assert _self_recursive("class A:\n    def f(self):\n        self.f()\n") == ["f"]
+        # A method calling the same-named method of another object is no recursion.
+        assert _self_recursive("class A:\n    def f(self):\n        self.g.f()\n") == []
+
+    def test_no_self_recursive_function(self):
+        package = Path(kdgraph.__file__).parent
+        found = {
+            path.name: names
+            for path in sorted(package.glob("*.py"))
+            if (names := _self_recursive(path.read_text()))
+        }
+        assert found == {}
 
 
 class TestAdjacency:
