@@ -15,12 +15,13 @@ exist), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
 
 from .diagnostics import Diagnostic, error, warn
-from .facts import FactSyntaxError, KnowledgeStore, dumps, merge_stores, parse_fact_path
+from .facts import FactSyntaxError, KnowledgeStore, dump, merge_stores, parse_fact_path
 from .fuzz import random_store
 from .graph import GraphCycleError, UnknownNodeError, rooted_subgraph
 from .linking import ChainError, synthesize_super_event
@@ -47,11 +48,24 @@ def _load(paths: list[str]) -> KnowledgeStore:
     return merge_stores(*(parse_fact_path(p) for p in paths))
 
 
-def _write(text: str, out: str | None):
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The open ``-o`` file, or stdout."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as fp:
+            yield fp
+
+
+def _write(text: str, out: str | None):
+    with _output(out) as fp:
+        fp.write(text)
+
+
+def _write_json(payload, out: str | None):
+    with _output(out) as fp:
+        dump(payload, fp)
 
 
 def _run(args) -> PipelineResult:
@@ -70,7 +84,7 @@ def _cmd_derive(args) -> int:
     result = _run(args)
     derived = result.derived
     if args.format == "json":
-        _write(result.store.to_json(derived), args.out)
+        _write_json(result.store.json_payload(derived), args.out)
     else:
         _write(result.store.to_fact_text(derived), args.out)
     return 0
@@ -82,7 +96,7 @@ def _cmd_resolve(args) -> int:
         "matches": result.matches.report(),
         "spatial": result.spatial.report(),
     }
-    _write(dumps(payload), args.out)
+    _write_json(payload, args.out)
     return 0
 
 
@@ -121,7 +135,7 @@ def _cmd_link(args) -> int:
         "chains": result.chains,
         "super_events": patches,
     }
-    _write(dumps(payload), args.out)
+    _write_json(payload, args.out)
     if args.patch is not None:
         lines = []
         for patch in patches:
@@ -136,15 +150,16 @@ def _cmd_query(args) -> int:
     kdg = result.kdg
     if args.pattern == "how-occurs":
         answer = how_occurs(kdg, args.x)
-    elif args.y is None:
-        raise QueryError("this pattern needs --y")
     elif args.pattern == "how-produces":
         answer = how_produces(kdg, result.store, result.matches, args.x, args.y)
     elif args.pattern == "how-related":
         answer = how_related(kdg, args.x, args.y)
     else:
         answer = why_important(kdg, result.store, args.x, args.y)
-    _write(answer.to_dot() if args.format == "dot" else answer.to_json(), args.out)
+    if args.format == "dot":
+        _write(answer.to_dot(), args.out)
+    else:
+        _write_json(answer.json_payload(), args.out)
     return 0
 
 
@@ -176,7 +191,10 @@ def _cmd_export(args) -> int:
     graph = result.kdg
     if args.graph_root is not None:
         graph = rooted_subgraph(graph, args.graph_root)
-    _write(graph.to_dot() if args.format == "dot" else graph.to_json(), args.out)
+    if args.format == "dot":
+        _write(graph.to_dot(), args.out)
+    else:
+        _write_json(graph.json_payload(), args.out)
     return 0
 
 
@@ -240,6 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "query" and args.pattern != "how-occurs" and args.y is None:
+        parser.error(f"--pattern {args.pattern} needs --y")
     try:
         return args.func(args)
     except (OSError, UnicodeError) as exc:

@@ -7,17 +7,22 @@ double as both class and instance.
 
 :func:`chain_store` and :func:`inside_chain_store` build adversarial shapes
 outside that envelope, a deep ``subevent`` chain and a deep ``is_inside``
-chain, for probing how derivation and resolution scale with depth.
+chain, for probing how derivation and resolution scale with depth;
+:func:`ladder_store` builds a wide one, many random stores that share
+their class ids, for probing how they scale with a dense match relation.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 from .facts import Fact, KnowledgeStore, Provenance, parse_fact_file
 
 MAX_INSTANCES = 30
 MAX_FACTS = 60
+
+_INSTANCE_RE = re.compile(r"(ev|ent|loc)\d+")
 
 
 class _Builder:
@@ -162,6 +167,25 @@ def chain_store(depth: int, io: bool = False) -> KnowledgeStore:
             add(f"ev{i - 1}", "subevent", f"ev{i}")
     if io and depth:
         add(f"ev{depth - 1}", "object", "cargo")
+    return store
+
+
+def ladder_store(copies: int) -> KnowledgeStore:
+    """``random_store(0 .. copies-1)`` in one store, each copy's instance
+    ids suffixed ``_<copy>``.
+
+    Class ids stay shared between the copies, so every instance matches
+    the instances of the same classes in every other copy, and the match
+    relation grows with the square of ``copies``.
+    """
+    store = KnowledgeStore()
+    for copy in range(copies):
+
+        def rename(term: str) -> str:
+            return f"{term}_{copy}" if _INSTANCE_RE.fullmatch(term) else term
+
+        for fact in random_store(copy).facts():
+            store.add(Fact(rename(fact.subject), fact.slot, rename(fact.value), fact.provenance))
     return store
 
 

@@ -18,7 +18,7 @@ oracle (:mod:`kdgraph.oracle`) must not use either: the differential
 check means something only while the engine and the oracle share no code.
 
 :meth:`DescriptionGraph.to_dot` is the one DOT writer, for graphs and for
-query answers alike; JSON text goes through :func:`kdgraph.facts.dumps`.
+query answers alike; JSON text goes through :func:`kdgraph.facts.dump`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .diagnostics import Diagnostic, warn
-from .facts import KnowledgeStore, dumps
+from .facts import KnowledgeStore
 
 
 class EdgeFamily(Enum):
@@ -178,7 +178,7 @@ class DescriptionGraph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges, key=Edge.key)
 
-    def json_payload(self) -> dict:
+    def json_rows(self) -> dict:
         """Node and edge rows, shared by graph and answer JSON."""
         return {
             "nodes": [
@@ -195,8 +195,9 @@ class DescriptionGraph:
             ],
         }
 
-    def to_json(self) -> str:
-        return dumps({"variant": self.variant, **self.json_payload()})
+    def json_payload(self) -> dict:
+        """The graph's JSON document: its variant, nodes and edges."""
+        return {"variant": self.variant, **self.json_rows()}
 
     def to_dot(
         self,

@@ -59,14 +59,15 @@ class AnswerStructure:
     notes: list[str] = field(default_factory=list)
     reason: str | None = None
 
-    def to_json(self) -> str:
-        payload = {
+    def json_payload(self) -> dict:
+        """The answer's JSON document: its header, graph rows and annotations."""
+        return {
             "pattern": self.pattern,
             "focus": self.focus,
             "answered": self.answered,
             "reason": self.reason,
             "notes": self.notes,
-            **self.graph.json_payload(),
+            **self.graph.json_rows(),
             "annotations": [
                 {"from": a.source, "slot": a.slot, "to": a.target, "role": a.role}
                 for a in sorted(
@@ -74,7 +75,10 @@ class AnswerStructure:
                 )
             ],
         }
-        return dumps(payload)
+
+    def to_json(self) -> str:
+        """The JSON text of :meth:`json_payload`."""
+        return dumps(self.json_payload())
 
     def to_dot(self) -> str:
         keys = [(a.source, a.slot, a.target) for a in self.annotations]

@@ -10,6 +10,9 @@ is derivable, so one pair may hold several levels (the reference
 evaluator is compared level by level), and the reported relation per pair
 is its highest level.  Every atom records one witness: its base rule, or
 the first composition that derived it in the closure's queue order.
+Most compositions the closure tries are stored already; it finds those
+with a subset test on the stored partner maps, so their cost is a lookup,
+not a new set.
 
 The relations are directional; nothing here assumes symmetry.
 """
@@ -54,7 +57,7 @@ class MatchSet:
     """All derivable (source, target, level) atoms, each with one witness.
 
     Storage is per level: ``_out[level]`` maps source -> {target: witness}
-    and ``_into[level]`` maps target -> [source, ...], where a witness is
+    and ``_into[level]`` maps target -> {source: None}, where a witness is
     ("base", rule) or ("chain", mid, conf1, conf2).  Each stored level of a
     pair is one derivable atom, so a pair may hold several levels; adding
     an atom that is already stored keeps its first witness.
@@ -63,7 +66,7 @@ class MatchSet:
     def __init__(self, kind: str):
         self.kind = kind
         self._out: tuple[dict[str, dict[str, tuple]], ...] = tuple({} for _ in _LEVELS)
-        self._into: tuple[dict[str, list[str]], ...] = tuple({} for _ in _LEVELS)
+        self._into: tuple[dict[str, dict[str, None]], ...] = tuple({} for _ in _LEVELS)
         self._size = 0
 
     def __contains__(self, key: _Key) -> bool:
@@ -87,7 +90,7 @@ class MatchSet:
         if target in targets:
             return False
         targets[target] = witness
-        self._into[conf].setdefault(target, []).append(source)
+        self._into[conf].setdefault(target, {})[source] = None
         self._size += 1
         return True
 
@@ -135,21 +138,7 @@ class MatchSet:
         ]
 
 
-def _fresh(
-    index: tuple[dict, ...], node: str, other: str, conf1: Confidence, exclude: tuple,
-) -> list[tuple[str, Confidence]]:
-    """Sorted (partner, level) of ``node`` in ``index`` that compose to a new
-    atom: ``index`` does not list the partner under ``other`` at
-    min(conf1, level).  Partners in ``exclude`` drop out as well."""
-    fresh = []
-    for level, partners in zip(_LEVELS, index):
-        partners = partners.get(node)
-        if partners:
-            new = set(partners)
-            new.difference_update(index[min(conf1, level)].get(other, ()), exclude)
-            fresh += zip(new, repeat(level))
-    fresh.sort()
-    return fresh
+_NONE: dict = {}  # read-only stand-in for an endpoint with no stored partners
 
 
 def _close_under_chaining(matches: MatchSet, distinct: bool):
@@ -159,21 +148,52 @@ def _close_under_chaining(matches: MatchSet, distinct: bool):
     is the left leg of a -> c -> b for each stored c -conf2-> b, then the
     right leg of x -> a -> c for each stored x -confx-> a, in (node, level)
     order; each new atom keeps that composition as its witness and is
-    queued.  Partners whose composition is stored already drop out in one
-    set difference per level, so only new compositions cost a Python call.
+    queued.  Per leg and level, the partners whose composition is stored
+    already drop out in one set difference, so only new compositions cost
+    a Python call.  Most pops find nothing new, so a level is skipped
+    before any set is built when its partners are a subset of the stored
+    ones: c -conf2-> b all stored as a -> b, or x -confx-> a all stored as
+    x -> c, at min(conf1, level).  Both index maps hold dicts, so that test
+    compares two key views and allocates nothing.  The right leg's
+    partners are read after the left leg's additions.
     """
+    out, into = matches._out, matches._into
     queue = matches.atoms()
     while queue:
         a, c, conf1 = queue.pop()
         if distinct and a == c:
             continue
         exclude = (a, c) if distinct else ()
-        for b, conf2 in _fresh(matches._out, c, a, conf1, exclude):
-            if matches.add_chain(a, b, min(conf1, conf2), c, conf1, conf2):
-                queue.append((a, b, min(conf1, conf2)))
-        for x, confx in _fresh(matches._into, a, c, conf1, exclude):
-            if matches.add_chain(x, c, min(confx, conf1), a, confx, conf1):
-                queue.append((x, c, min(confx, conf1)))
+        fresh = []
+        for level, partners in zip(_LEVELS, out):
+            partners = partners.get(c)
+            if partners:
+                stored = out[min(conf1, level)].get(a, _NONE).keys()
+                if partners.keys() <= stored:
+                    continue
+                new = partners.keys() - stored
+                new.difference_update(exclude)
+                fresh += zip(new, repeat(level))
+        if fresh:
+            fresh.sort()
+            for b, conf2 in fresh:
+                if matches.add_chain(a, b, min(conf1, conf2), c, conf1, conf2):
+                    queue.append((a, b, min(conf1, conf2)))
+        fresh = []
+        for level, partners in zip(_LEVELS, into):
+            partners = partners.get(a)
+            if partners:
+                stored = into[min(conf1, level)].get(c, _NONE).keys()
+                if partners.keys() <= stored:
+                    continue
+                new = partners.keys() - stored
+                new.difference_update(exclude)
+                fresh += zip(new, repeat(level))
+        if fresh:
+            fresh.sort()
+            for x, confx in fresh:
+                if matches.add_chain(x, c, min(confx, conf1), a, confx, conf1):
+                    queue.append((x, c, min(confx, conf1)))
 
 
 def match_instances(

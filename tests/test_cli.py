@@ -227,6 +227,17 @@ class TestValidationFailures:
             main(["query", "x.facts"])  # missing required --pattern/--x
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("pattern", ["how-related", "how-produces", "why-important"])
+    def test_two_node_pattern_without_y_is_a_usage_error(self, capsys, tmp_path, pattern):
+        # The input does not exist: a run that read it would fail with missing-input.
+        missing = str(tmp_path / "absent.facts")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", missing, "--pattern", pattern, "--x", "a"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--pattern {pattern} needs --y" in err
+        assert "missing-input" not in err
+
 
 class TestResolve:
     def test_report_contains_worked_example(self, capsys, fixtures_dir):

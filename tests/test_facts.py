@@ -5,6 +5,8 @@ from kdgraph.facts import (
     FactSyntaxError,
     KnowledgeStore,
     Provenance,
+    dump,
+    dumps,
     merge_stores,
     parse_fact_file,
 )
@@ -190,7 +192,7 @@ class TestSerialization:
         import json
 
         store = parse_fact_file("has(a, b, c).", filename="x")
-        rows = json.loads(store.to_json())
+        rows = json.loads(dumps(store.json_payload()))
         assert rows == [
             {
                 "subject": "a",
@@ -199,6 +201,16 @@ class TestSerialization:
                 "provenance": {"kind": "asserted", "file": "x", "line": 1},
             }
         ]
+
+    def test_streamed_json_is_the_whole_text(self):
+        import io
+        import json
+
+        # Thousands of rows: the text spans several writes.
+        payload = {"rows": [{"b": i, "a": [str(i), None]} for i in range(5000)]}
+        out = io.StringIO()
+        dump(payload, out)
+        assert out.getvalue() == dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_merge(self):
         left = parse_fact_file("has(a, b, c).")

@@ -1,6 +1,6 @@
 import pytest
 
-from kdgraph.facts import KnowledgeStore, parse_fact_file
+from kdgraph.facts import KnowledgeStore, dumps, parse_fact_file
 from kdgraph.graph import (
     SLOT_FAMILIES,
     EdgeFamily,
@@ -245,7 +245,7 @@ class TestExports:
         udg = build_udg(parse_fact_file("has(a, subevent, b)."))
         import json
 
-        payload = json.loads(udg.to_json())
+        payload = json.loads(dumps(udg.json_payload()))
         assert payload["edges"] == [
             {"from": "a", "slot": "subevent", "to": "b", "family": "compositional"}
         ]

@@ -5,7 +5,7 @@ import pytest
 
 from kdgraph import resolution
 from kdgraph.facts import parse_fact_file, parse_fact_path
-from kdgraph.fuzz import inside_chain_store
+from kdgraph.fuzz import inside_chain_store, ladder_store
 from kdgraph.pipeline import run_pipeline
 from kdgraph.resolution import (
     Confidence,
@@ -309,6 +309,8 @@ def _equivalence_store(name):
         return parse_fact_path(REPO / INPUTS / f"{name.split('.')[1]}.facts")
     if name == "inside_chain_store.40":
         return inside_chain_store(40)
+    if name == "ladder_store.10":
+        return ladder_store(10)
     return model_store(name)
 
 
@@ -321,7 +323,7 @@ class TestClosureMatchesPerEmitReference:
         [f"random_store.{seed}" for seed in range(100)]
         + ["photosynthesis", "eukaryote", "rooted_cell"]
         + [f"golden.{name}" for name in _ACYCLIC_GOLDEN_INPUTS]
-        + ["inside_chain_store.40"],
+        + ["inside_chain_store.40", "ladder_store.10"],
     )
     def test_same_atoms_and_witnesses(self, monkeypatch, name):
         closed = []
