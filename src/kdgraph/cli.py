@@ -102,8 +102,11 @@ def _cmd_resolve(args) -> int:
 
 def _cmd_link(args) -> int:
     result = _run(args)
+    chains, capped = result.chain_search
+    if capped:
+        _emit_diagnostics([warn("link-chain-cap", f"kept {len(chains)} chains")])
     patches = []
-    for chain in result.chains:
+    for chain in chains:
         try:
             facts = synthesize_super_event(chain, result.containers)
         except ChainError as exc:
@@ -132,7 +135,7 @@ def _cmd_link(args) -> int:
             {"from": a, "to": b, "conditions": reasons}
             for (a, b), reasons in sorted(result.exclusions.items())
         ],
-        "chains": result.chains,
+        "chains": chains,
         "super_events": patches,
     }
     _write_json(payload, args.out)

@@ -330,9 +330,8 @@ def build_kdg(udg: DescriptionGraph, typing: dict[str, NodeKind]) -> Description
     for edge in udg.sorted_edges():
         if edge.source not in graph.nodes or edge.target not in graph.nodes:
             continue
-        allowed_src, allowed_dst = ENDPOINT_CONSTRAINTS[edge.slot]
         src_kind, dst_kind = graph.nodes[edge.source], graph.nodes[edge.target]
-        if src_kind not in allowed_src or dst_kind not in allowed_dst:
+        if not _admits(edge.slot, src_kind, dst_kind):
             graph.diagnostics.append(
                 warn(
                     "endpoint-constraint",
@@ -344,10 +343,45 @@ def build_kdg(udg: DescriptionGraph, typing: dict[str, NodeKind]) -> Description
         graph.edges.add(edge)
         if edge.family in ACYCLIC_FAMILIES:
             successors.setdefault(edge.source, []).append(edge.target)
+    _raise_on_cycle(successors)
+    return graph
+
+
+_ACYCLIC_SLOTS = [slot for slot, family in SLOT_FAMILIES.items() if family in ACYCLIC_FAMILIES]
+
+
+def check_acyclic(store: KnowledgeStore, typing: dict[str, NodeKind]) -> None:
+    """Raise the :class:`GraphCycleError` that
+    ``build_kdg(build_udg(store), typing)`` would raise, with the same
+    witness, without building either graph: only the compositional,
+    locational and participant edges are collected, oriented and
+    filtered as those two builds do."""
+    untyped = NodeKind.UNTYPED
+    keys: set[tuple[str, str, str]] = set()
+    for slot in _ACYCLIC_SLOTS:
+        for fact in store.query(slot=slot):
+            source, target = fact.subject, fact.value
+            if slot == "happenings" and _happenings_subject_first(store, source, target):
+                source, target = target, source
+            if _admits(slot, typing.get(source, untyped), typing.get(target, untyped)):
+                keys.add((source, slot, target))
+    successors: dict[str, list[str]] = {}
+    for source, _, target in sorted(keys):
+        successors.setdefault(source, []).append(target)
+    _raise_on_cycle(successors)
+
+
+def _admits(slot: str, source_kind: NodeKind, target_kind: NodeKind) -> bool:
+    """Whether a ``slot`` edge may join nodes of these kinds; no slot
+    admits an untyped endpoint."""
+    allowed_src, allowed_dst = ENDPOINT_CONSTRAINTS[slot]
+    return source_kind in allowed_src and target_kind in allowed_dst
+
+
+def _raise_on_cycle(successors: dict[str, list[str]]) -> None:
     _, cycle = depth_first(successors, sorted(successors))
     if cycle:
         raise GraphCycleError(cycle)
-    return graph
 
 
 def rooted_subgraph(graph: DescriptionGraph, root: str) -> DescriptionGraph:

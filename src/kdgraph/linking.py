@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from itertools import islice
 
 from .diagnostics import Diagnostic, warn
 from .facts import Fact, KnowledgeStore, Provenance
@@ -19,6 +20,8 @@ from .graph import GraphCycleError, depth_first
 from .resolution import Confidence, MatchSet
 
 _MAX_NAME_LENGTH = 60
+# Chains enumerated from sources at most; far above any golden or bench count.
+MAX_CHAINS = 10_000
 
 
 @dataclass(frozen=True)
@@ -143,44 +146,61 @@ def possible_next_events(
     return survivors, excluded
 
 
-def extract_chains(
-    pairs: list[tuple[str, str]], diagnostics: list[Diagnostic] | None = None
-) -> list[list[str]]:
-    """Maximal paths through the possible-next-event pairs.
+@dataclass(frozen=True)
+class ChainGraph:
+    """The possible-next-event pairs as a graph: sorted successor lists,
+    the sources (nodes with successors and no predecessor, in sorted
+    order) and the greedy walks over the cycles that no source reaches.
+    Building it is linear in the pairs; enumerating its chains is not
+    (see :func:`extract_chains`)."""
 
-    A node with several successors yields one chain per branch plus a
-    diagnostic; cycles are broken at their smallest node.
-    """
-    successors: dict[str, list[str]] = {}
-    has_incoming: set[str] = set()
-    nodes: set[str] = set()
-    for a, b in sorted(set(pairs)):
-        successors.setdefault(a, []).append(b)
-        has_incoming.add(b)
-        nodes.update((a, b))
-    for node, nexts in successors.items():
-        if len(nexts) > 1 and diagnostics is not None:
-            diagnostics.append(
-                warn("link-branching", f"{node} has several possible next events")
-            )
+    successors: dict[str, list[str]]
+    sources: list[str]
+    cycle_walks: list[list[str]]
 
-    chains: list[list[str]] = []
-    sources = sorted(n for n in nodes if n not in has_incoming)
+    @classmethod
+    def from_pairs(cls, pairs: list[tuple[str, str]]) -> ChainGraph:
+        successors: dict[str, list[str]] = {}
+        has_incoming: set[str] = set()
+        for a, b in sorted(set(pairs)):
+            successors.setdefault(a, []).append(b)
+            has_incoming.add(b)
+        sources = [n for n in successors if n not in has_incoming]
+        return cls(successors, sources, _cycle_walks(successors, sources))
+
+
+def _source_paths(successors: dict[str, list[str]], sources: list[str]) -> Iterator[list[str]]:
+    """Every maximal simple path from each source, depth-first."""
     for source in sources:
-        # Depth-first over simple paths; branches are pushed in reverse so
-        # they pop in successor order.
+        # Branches are pushed in reverse so they pop in successor order.
         stack = [[source]]
         while stack:
             path = stack.pop()
             nexts = [n for n in successors.get(path[-1], ()) if n not in path]
-            if not nexts:
-                if len(path) >= 2:
-                    chains.append(path)
-                continue
-            stack.extend(path + [nxt] for nxt in reversed(nexts))
-    covered = {n for chain in chains for n in chain}
-    remaining = sorted(n for n in nodes - covered if n in successors)
-    for start in remaining:
+            if nexts:
+                stack.extend(path + [nxt] for nxt in reversed(nexts))
+            elif len(path) >= 2:
+                yield path
+
+
+def _cycle_walks(successors: dict[str, list[str]], sources: list[str]) -> list[list[str]]:
+    """Greedy walks over the cycles that no source reaches.
+
+    A node lies on some maximal path from a source exactly when a source
+    reaches it, since any simple path from a source extends to a maximal
+    one.  From each node left over, in sorted order, the walk follows the
+    first successor not yet on it; a walk of two or more nodes covers
+    them.
+    """
+    covered = set(sources)
+    frontier = list(sources)
+    while frontier:
+        for nxt in successors.get(frontier.pop(), ()):
+            if nxt not in covered:
+                covered.add(nxt)
+                frontier.append(nxt)
+    walks = []
+    for start in sorted(successors):
         if start in covered:
             continue
         path = [start]
@@ -190,13 +210,39 @@ def extract_chains(
                 break
             path.append(nexts[0])
         if len(path) >= 2:
-            chains.append(path)
             covered.update(path)
-            if diagnostics is not None:
-                diagnostics.append(
-                    warn("link-cycle", f"possible next events around {start} form a cycle")
-                )
-    return chains
+            walks.append(path)
+    return walks
+
+
+def chain_diagnostics(graph: ChainGraph) -> list[Diagnostic]:
+    """The warnings of the graph's chains, found without enumerating any:
+    one ``link-branching`` per node with several successors, then one
+    ``link-cycle`` per cycle walk."""
+    found = [
+        warn("link-branching", f"{node} has several possible next events")
+        for node, nexts in graph.successors.items()
+        if len(nexts) > 1
+    ]
+    found.extend(
+        warn("link-cycle", f"possible next events around {walk[0]} form a cycle")
+        for walk in graph.cycle_walks
+    )
+    return found
+
+
+def extract_chains(graph: ChainGraph) -> tuple[list[list[str]], bool]:
+    """Maximal paths through the graph, and whether ``MAX_CHAINS`` cut
+    them short.
+
+    Each source yields one chain per branch, depth-first in successor
+    order; after ``MAX_CHAINS`` of those the enumeration stops.  The
+    cycle walks follow.
+    """
+    chains = list(islice(_source_paths(graph.successors, graph.sources), MAX_CHAINS + 1))
+    capped = len(chains) > MAX_CHAINS
+    del chains[MAX_CHAINS:]
+    return chains + graph.cycle_walks, capped
 
 
 def super_event_name(chain: list[str]) -> str:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kdgraph.cli import main
 from kdgraph.graph import AUX_SLOTS, SLOT_FAMILIES
+from kdgraph import linking
 from kdgraph.oracle import EvaluationError, RuleProgram
 
 # Stores whose only event evidence for ``p`` is an asserted last_subevent
@@ -37,6 +38,11 @@ LAST_SUBEVENT_STORES = {
         ],
     ),
 }
+
+
+# Acyclic as asserted: the result that p takes over from its asserted
+# last subevent c closes the structural cycle x -> p -> x.
+CYCLE_AFTER_DERIVATION = "has(p, last_subevent, c).\nhas(c, result, x).\nhas(x, happenings, p).\n"
 
 
 def _run(capsys, *argv):
@@ -153,6 +159,23 @@ class TestValidationFailures:
         code, _, err = _run(capsys, "derive", str(bad))
         assert code == 1
         assert "GraphCycleError" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["derive"],
+            ["resolve"],
+            ["link"],
+            ["check"],
+            ["export", "--format", "json"],
+            ["query", "--pattern", "how-occurs", "--x", "p"],
+        ],
+    )
+    def test_cycle_closed_by_derivation_exits_one(self, capsys, tmp_path, argv):
+        bad = tmp_path / "cycle.facts"
+        bad.write_text(CYCLE_AFTER_DERIVATION)
+        code, out, err = _run(capsys, argv[0], str(bad), *argv[1:])
+        assert (code, out, err) == (1, "", "ERROR GraphCycleError structural cycle: x -> p -> x\n")
 
     def test_hierarchy_cycle_exits_one(self, capsys, tmp_path):
         bad = tmp_path / "hier.facts"
@@ -319,6 +342,30 @@ class TestLink:
         assert payload["possible_next_events"] == [["a", "b"], ["b", "c"]]
         assert payload["super_events"] == []
         assert patch.read_text() == ""
+
+    def test_chain_cap_warning_follows_the_pipeline_diagnostics(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # a and b make what c and d take, all at one site: four chains,
+        # two branchings.
+        kb = tmp_path / "kb.facts"
+        kb.write_text(
+            "has(a, result, m1).\nhas(b, result, m2).\n"
+            "has(c, raw_material, m3).\nhas(d, raw_material, m4).\n"
+            + "".join(f"has(m{i}, instance_of, molecule).\n" for i in range(1, 5))
+            + "".join(f"has({e}, site, s).\n" for e in "abcd")
+            + "has(s, instance_of, compartment).\n"
+            "has(compartment, superclass, spatial_entity).\n"
+        )
+        monkeypatch.setattr(linking, "MAX_CHAINS", 2)
+        code, out, err = _run(capsys, "link", str(kb))
+        assert code == 0
+        assert json.loads(out)["chains"] == [["a", "c"], ["a", "d"]]
+        assert err.splitlines()[-3:] == [
+            "WARNING link-branching a has several possible next events",
+            "WARNING link-branching b has several possible next events",
+            "WARNING link-chain-cap kept 2 chains",
+        ]
 
     def test_min_confidence_threshold(self, capsys, fixtures_dir):
         code, out, _ = _run(
@@ -504,3 +551,30 @@ class TestCliProperties:
                     io.StringIO()
                 ):
                     assert main([command, str(path)]) in (0, 1)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(fact_texts)
+    @example("has(x, result, y).\nhas(x, happenings, y).\n")
+    @example(CYCLE_AFTER_DERIVATION)
+    def test_every_pipeline_command_exits_zero_one_or_two(self, text):
+        # ``export`` reads the graph that is built on first read, and
+        # ``derive`` never builds it: the same exit code means that build
+        # raises nothing that the validating build let through.
+        with tempfile.TemporaryDirectory() as directory:
+            path = str(Path(directory) / "kb.facts")
+            Path(path).write_text(text)
+            commands = {
+                "derive": ["derive", path],
+                "resolve": ["resolve", path],
+                "link": ["link", path, "--patch", str(Path(directory) / "patch.facts")],
+                "export": ["export", path, "--format", "json"],
+                "query": ["query", path, "--pattern", "how-occurs", "--x", "a"],
+            }
+            codes = {}
+            for name, argv in commands.items():
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                    io.StringIO()
+                ):
+                    codes[name] = main(argv)
+            assert set(codes.values()) <= {0, 1, 2}, codes
+            assert codes["export"] == codes["derive"], codes

@@ -21,6 +21,8 @@ from kdgraph.fuzz import chain_store, random_store
 from kdgraph.graph import NodeKind, build_kdg, build_udg
 from kdgraph.pipeline import run_pipeline
 from kdgraph.taxonomy import ClassHierarchy
+from .conftest import FIXTURES
+from tests.golden.capture import INPUTS, REPO
 
 
 def _typing(text):
@@ -431,6 +433,38 @@ class TestTypedOnce:
         typing = infer_event_typing(store, udg, result.hierarchy)
         assert store.triples() == result.store.triples()
         assert build_kdg(udg, typing) == result.kdg
+
+
+def _premise_store(name):
+    kind, _, arg = name.partition(".")
+    if kind == "random_store":
+        return random_store(int(arg))
+    if kind == "fixture":
+        return parse_fact_path(FIXTURES / f"{arg}.facts")
+    if kind == "golden":
+        return parse_fact_path(REPO / INPUTS / f"{arg}.facts")
+    return chain_store(50, io=True)
+
+
+class TestDirectIOAfterPropagation:
+    """``run_pipeline`` leaves ``io_relations`` unbuilt: ``propagate_io``
+    runs every event's direct IO step to its fixpoint, so the direct
+    relations add nothing to the store it leaves.  The golden inputs with
+    structural cycles stop before derivation and are left out."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [f"random_store.{seed}" for seed in range(200)]
+        + [f"fixture.{n}" for n in ("photosynthesis", "eukaryote", "rooted_cell")]
+        + [f"golden.{n}" for n in ("io_chain", "ladder", "lattice")]
+        + ["chain_store.50"],
+    )
+    def test_direct_io_adds_no_fact(self, name):
+        result = run_pipeline(_premise_store(name))
+        before = result.store.facts()
+        relations = {(r.event, r.role, r.value) for r in result.io_relations}
+        assert relations <= {(f.subject, f.slot, f.value) for f in before}
+        assert result.store.facts() == before
 
 
 class TestDeepChainProbes:

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kdgraph.facts import KnowledgeStore, dumps, parse_fact_file
 from kdgraph.graph import (
+    ACYCLIC_FAMILIES,
     SLOT_FAMILIES,
     EdgeFamily,
     GraphCycleError,
@@ -9,6 +11,7 @@ from kdgraph.graph import (
     UnknownNodeError,
     build_kdg,
     build_udg,
+    check_acyclic,
     rooted_subgraph,
 )
 from kdgraph.pipeline import run_pipeline
@@ -167,6 +170,55 @@ class TestBuildKdg:
         )
         kdg = build_kdg(udg, typing)
         assert "b" not in kdg.nodes
+
+
+# Stores over four ids and the slots of the acyclic families, happenings
+# drawn as often as all the others together; the ids declared events get
+# their happenings facts read event-first.  Any typing of the ids, mostly
+# events and entities.
+_IDS = ["a", "b", "c", "d"]
+_ACYCLIC_SLOTS = sorted(s for s, f in SLOT_FAMILIES.items() if f in ACYCLIC_FAMILIES)
+_rows = st.lists(
+    st.tuples(
+        st.sampled_from(_IDS),
+        st.one_of(st.just("happenings"), st.sampled_from(_ACYCLIC_SLOTS)),
+        st.sampled_from(_IDS),
+    ),
+    min_size=2,
+    max_size=10,
+)
+_declared_events = st.sets(st.sampled_from(_IDS))
+_KINDS = [NodeKind.EVENT, NodeKind.ENTITY] * 3 + [NodeKind.CLASS, NodeKind.UNTYPED]
+_typings = st.lists(st.sampled_from(_KINDS), min_size=4, max_size=4).map(
+    lambda kinds: dict(zip(_IDS, kinds))
+)
+
+
+def _build_outcome(check) -> str | None:
+    try:
+        check()
+    except GraphCycleError as exc:
+        return str(exc)
+    return None
+
+
+class TestCheckAcyclic:
+    def test_cycle_closed_by_a_derived_edge(self):
+        store = parse_fact_file("has(x, happenings, p).\nhas(p, result, x).\n")
+        typing = {"p": NodeKind.EVENT, "x": NodeKind.ENTITY}
+        with pytest.raises(GraphCycleError, match="structural cycle: p -> x -> p"):
+            check_acyclic(store, typing)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(_rows, _declared_events, _typings)
+    def test_raises_what_the_graph_build_raises(self, rows, events, typing):
+        store = parse_fact_file(
+            "".join(f"has({s}, {p}, {v}).\n" for s, p, v in rows)
+            + "".join(f"has({e}, instance_of, event).\n" for e in events)
+        )
+        assert _build_outcome(lambda: check_acyclic(store, typing)) == _build_outcome(
+            lambda: build_kdg(build_udg(store), typing)
+        )
 
 
 class TestRootedSubgraph:

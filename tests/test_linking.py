@@ -1,10 +1,15 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kdgraph.facts import parse_fact_file, parse_fact_path
+from kdgraph import linking
+from kdgraph.diagnostics import warn
 from kdgraph.fuzz import random_store
 from kdgraph.graph import GraphCycleError
 from kdgraph.linking import (
     ChainError,
+    ChainGraph,
+    chain_diagnostics,
     extract_chains,
     filter_joins,
     possible_next_events,
@@ -193,19 +198,105 @@ class TestChains:
         ]
 
     def test_linear_chain(self):
-        chains = extract_chains([("a", "b"), ("b", "c")])
-        assert chains == [["a", "b", "c"]]
+        chains, capped = extract_chains(ChainGraph.from_pairs([("a", "b"), ("b", "c")]))
+        assert chains == [["a", "b", "c"]] and not capped
 
     def test_branching_produces_one_chain_per_branch(self):
-        diagnostics = []
-        chains = extract_chains([("a", "b"), ("a", "c")], diagnostics)
+        graph = ChainGraph.from_pairs([("a", "b"), ("a", "c")])
+        chains, _ = extract_chains(graph)
         assert sorted(chains) == [["a", "b"], ["a", "c"]]
-        assert any(d.code == "link-branching" for d in diagnostics)
+        assert [d.code for d in chain_diagnostics(graph)] == ["link-branching"]
 
     def test_cycle_detected(self):
-        diagnostics = []
-        chains = extract_chains([("a", "b"), ("b", "a")], diagnostics)
-        assert chains and any(d.code == "link-cycle" for d in diagnostics)
+        graph = ChainGraph.from_pairs([("a", "b"), ("b", "a")])
+        chains, _ = extract_chains(graph)
+        assert chains == [["a", "b"]]
+        assert [d.code for d in chain_diagnostics(graph)] == ["link-cycle"]
+
+    def test_cap_keeps_a_prefix_and_the_cycle_walks(self, monkeypatch):
+        # Two sources with two branches each give four chains; the cycle
+        # c <-> d is reached from no source.
+        graph = ChainGraph.from_pairs(
+            [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"), ("c", "d"), ("d", "c")]
+        )
+        everything, capped = extract_chains(graph)
+        assert not capped and len(everything) == 5
+        monkeypatch.setattr(linking, "MAX_CHAINS", 4)
+        assert extract_chains(graph) == (everything, False)
+        monkeypatch.setattr(linking, "MAX_CHAINS", 3)
+        assert extract_chains(graph) == (everything[:3] + everything[4:], True)
+        monkeypatch.setattr(linking, "MAX_CHAINS", 0)
+        assert extract_chains(graph) == ([["c", "d"]], True)
+
+
+def _reference_chains(pairs):
+    """The chain enumerator as it was before the cap, with the warnings
+    it emitted: every chain enumerated, and ``covered`` read off them."""
+    successors, has_incoming, nodes = {}, set(), set()
+    for a, b in sorted(set(pairs)):
+        successors.setdefault(a, []).append(b)
+        has_incoming.add(b)
+        nodes.update((a, b))
+    warnings = [
+        warn("link-branching", f"{node} has several possible next events")
+        for node, nexts in successors.items()
+        if len(nexts) > 1
+    ]
+    chains = []
+    for source in sorted(n for n in nodes if n not in has_incoming):
+        stack = [[source]]
+        while stack:
+            path = stack.pop()
+            nexts = [n for n in successors.get(path[-1], ()) if n not in path]
+            if not nexts:
+                if len(path) >= 2:
+                    chains.append(path)
+                continue
+            stack.extend(path + [nxt] for nxt in reversed(nexts))
+    covered = {n for chain in chains for n in chain}
+    for start in sorted(n for n in nodes - covered if n in successors):
+        if start in covered:
+            continue
+        path = [start]
+        while True:
+            nexts = [n for n in successors.get(path[-1], ()) if n not in path]
+            if not nexts:
+                break
+            path.append(nexts[0])
+        if len(path) >= 2:
+            chains.append(path)
+            covered.update(path)
+            warnings.append(
+                warn("link-cycle", f"possible next events around {start} form a cycle")
+            )
+    return chains, warnings
+
+
+# Digraphs on up to nine nodes, self-loops and cycles included.
+digraphs = st.lists(
+    st.tuples(st.sampled_from("abcdefghi"), st.sampled_from("abcdefghi")), max_size=14
+)
+
+
+class TestChainsMatchTheEnumeratingReference:
+    """``chain_diagnostics`` gives, without enumerating any chain, the
+    warnings that enumerating every chain gave; the capped enumerator
+    under its default cap gives the same chains."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(digraphs)
+    def test_same_warnings_and_chains(self, pairs):
+        chains, warnings = _reference_chains(pairs)
+        graph = ChainGraph.from_pairs(pairs)
+        assert [d.render() for d in chain_diagnostics(graph)] == [d.render() for d in warnings]
+        assert extract_chains(graph) == (chains, False)
+
+    @pytest.mark.parametrize("seed", range(0, 200, 7))
+    def test_same_on_pipeline_survivors(self, seed):
+        result = run_pipeline(random_store(seed))
+        chains, warnings = _reference_chains(result.possible_next_events)
+        assert chain_diagnostics(result.chain_graph) == warnings
+        assert result.chain_search == (chains, False)
 
 
 class TestSuperEvents:

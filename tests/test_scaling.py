@@ -9,14 +9,21 @@ the chain's depth again exceeds the bound at the larger sizes, however
 fast the host is.  The spatial closure is held to the same bound on the
 ``is_inside`` chain (``fuzz.inside_chain_store``), whose closure is every
 contained pair: there each counted call is one chain composition tried.
+
+Chains are the one output that grows exponentially in the input: the
+20-copy ladder (``fuzz.ladder_store``) has over a million.  A pipeline
+run enumerates none of them and builds the graph once; the chain
+warnings come from a linear pass.
 """
 
 from collections import Counter
 
+import time
+
 import pytest
 
 from kdgraph import pipeline
-from kdgraph.fuzz import chain_store, inside_chain_store
+from kdgraph.fuzz import chain_store, inside_chain_store, ladder_store
 from kdgraph.resolution import MatchSet
 
 SIZES = (100, 200, 400)
@@ -85,3 +92,16 @@ def test_spatial_closure_work_is_linear_in_input_plus_output(monkeypatch):
             f"spatial_match on {size} locations: {calls} add_chain calls for "
             f"{asserted} input facts and {atoms} spatial atoms"
         )
+
+
+def test_pipeline_enumerates_no_chain_and_builds_the_graph_once(monkeypatch):
+    calls: Counter = Counter()
+    for name in ("extract_chains", "build_kdg"):
+        _count_calls(monkeypatch, pipeline, name, calls, name)
+    store = ladder_store(20)
+    start = time.perf_counter()
+    result = pipeline.run_pipeline(store)
+    elapsed = time.perf_counter() - start
+    assert calls == Counter(build_kdg=1)
+    assert any(d.code == "link-branching" for d in result.diagnostics)
+    assert elapsed < 1.0, f"run_pipeline on the 20-copy ladder took {elapsed:.2f} s"

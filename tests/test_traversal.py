@@ -16,7 +16,7 @@ from kdgraph.graph import (
     build_kdg,
     depth_first,
 )
-from kdgraph.linking import extract_chains, subevent_closure
+from kdgraph.linking import ChainGraph, extract_chains, subevent_closure
 from kdgraph.resolution import Confidence, MatchSet
 from kdgraph.taxonomy import ClassHierarchy
 
@@ -136,7 +136,10 @@ class TestDeepInputs:
 
     def test_linear_pairs_form_one_chain(self):
         names = _chain(DEEP)
-        assert extract_chains(list(zip(names, names[1:]))) == [names]
+        assert extract_chains(ChainGraph.from_pairs(list(zip(names, names[1:])))) == (
+            [names],
+            False,
+        )
 
     def test_witness_chain_of_nested_chain_atoms(self):
         # (n0, n_k) is witnessed by (n0, n_k-1) and the base atom (n_k-1, n_k).
