@@ -6,7 +6,7 @@ instances with graded confidence, links fragmented event chains, and
 extracts structural answers for how/why questions.
 """
 
-from .derivation import EventKind, IORelation
+from .derivation import EventKind
 from .facts import Fact, FactSyntaxError, KnowledgeStore, Provenance, parse_fact_file, parse_fact_path
 from .graph import (
     DescriptionGraph,
@@ -21,7 +21,7 @@ from .graph import (
 from .linking import JoinAtom, possible_next_events, subevent_closure, synthesize_super_event
 from .oracle import differential_check, encode_program
 from .pipeline import PipelineResult, run_pipeline
-from .resolution import Confidence, match_instances, min_confidence, spatial_match
+from .resolution import Confidence, match_instances, spatial_match
 from .taxonomy import ClassHierarchy, HierarchyCycleError, main_classes
 
 __version__ = "0.1.0"
@@ -37,7 +37,6 @@ __all__ = [
     "FactSyntaxError",
     "GraphCycleError",
     "HierarchyCycleError",
-    "IORelation",
     "JoinAtom",
     "KnowledgeStore",
     "NodeKind",
@@ -49,7 +48,6 @@ __all__ = [
     "encode_program",
     "main_classes",
     "match_instances",
-    "min_confidence",
     "parse_fact_file",
     "parse_fact_path",
     "possible_next_events",

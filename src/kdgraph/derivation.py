@@ -8,10 +8,12 @@ Stages run in a fixed order, each one only adding facts to the store:
 3. first and last subevents per parent, by absence of a sibling
    predecessor or successor,
 4. transport vs. operational classification from the class hierarchy,
-5. direct IO relations per the slot table,
-6. fixpoint propagation of IO relations through first/last subevents,
-   in the order of naive rounds but re-running only the steps whose
-   inputs changed, and each only on the facts it has not yet seen,
+5. direct IO: each event's own slots mapped to IO roles per the slot
+   table (rules i1-i10 and i24), over the facts the earlier stages left,
+6. fixpoint propagation of IO relations through first/last subevents
+   (rules i11-i23), in the order of naive rounds but re-running only the
+   steps whose inputs changed, and each only on the facts it has not yet
+   seen; the direct mapping runs again on every slot a copy adds,
 7. default output locations for events that have none.
 
 Re-running any stage after completion adds nothing.
@@ -21,26 +23,17 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from enum import Enum
 
 from .diagnostics import Diagnostic, warn
 from .facts import Fact, KnowledgeStore
-from .graph import DescriptionGraph, EdgeFamily, NodeKind
+from .graph import ORDERING_SLOTS, DescriptionGraph, EdgeFamily, NodeKind
 from .taxonomy import TRANSPORT_CLASSES, ClassHierarchy
 
 
 class EventKind(Enum):
     TRANSPORT = "transport"
     OPERATIONAL = "operational"
-
-
-@dataclass(frozen=True)
-class IORelation:
-    event: str
-    role: str  # input | output | input_location | output_location
-    value: str
-    via_slot: str
 
 
 # Slot -> IO roles, per event kind, with the rule id deriving each role.
@@ -190,8 +183,8 @@ def _diag(diagnostics: list[Diagnostic] | None, item: Diagnostic):
 
 
 def derive_next_events(store: KnowledgeStore):
-    """next_event facts from every enables/causes/prevents/inhibits fact."""
-    for slot in ("enables", "causes", "prevents", "inhibits"):
+    """next_event facts from every fact of another ordering slot."""
+    for slot in sorted(ORDERING_SLOTS - {"next_event"}):
         for fact in store.query(slot=slot):
             store.add_derived(fact.subject, "next_event", fact.value, "e2")
 
@@ -263,24 +256,6 @@ def classify_event_kind(
     return kinds
 
 
-def _io_table(kind: EventKind) -> dict[str, list[tuple[str, str]]]:
-    return TRANSPORT_IO if kind is EventKind.TRANSPORT else OPERATIONAL_IO
-
-
-def derive_io_relations(
-    store: KnowledgeStore, kinds: dict[str, EventKind]
-) -> list[IORelation]:
-    """Map concrete slots to abstract IO facts for every event."""
-    relations: set[IORelation] = set()
-    for event, kind in sorted(kinds.items()):
-        for slot, roles in sorted(_io_table(kind).items()):
-            for value in store.values(event, slot):
-                for role, rule in roles:
-                    store.add_derived(event, role, value, rule)
-                    relations.add(IORelation(event, role, value, slot))
-    return sorted(relations, key=lambda r: (r.event, r.role, r.value, r.via_slot))
-
-
 # What one propagation step reads, by the kind of the event it writes:
 # slot -> (rank of the slot within the step, the (slot written, rule id)
 # pairs each value of it yields).
@@ -296,10 +271,11 @@ def _copy_reads(copies: list[tuple[str, EventKind | None, str]], kind: EventKind
 
 
 _DIRECT_READS: dict[EventKind, _Reads] = {
-    kind: {
-        slot: (rank, roles) for rank, (slot, roles) in enumerate(sorted(_io_table(kind).items()))
-    }
-    for kind in EventKind
+    kind: {slot: (rank, roles) for rank, (slot, roles) in enumerate(sorted(table.items()))}
+    for kind, table in (
+        (EventKind.TRANSPORT, TRANSPORT_IO),
+        (EventKind.OPERATIONAL, OPERATIONAL_IO),
+    )
 }
 _BOUNDARY_READS: list[tuple[str, dict[EventKind, _Reads]]] = [
     (boundary_slot, {kind: _copy_reads(copies, kind) for kind in EventKind})
@@ -310,13 +286,27 @@ _BOUNDARY_READS: list[tuple[str, dict[EventKind, _Reads]]] = [
 ]
 
 
+def derive_io_relations(store: KnowledgeStore, kinds: dict[str, EventKind]):
+    """Stage 5: map every event's IO-table slots to their IO roles."""
+    for event, kind in sorted(kinds.items()):
+        for slot, (_, roles) in _DIRECT_READS[kind].items():
+            for value in store.values(event, slot):
+                for role, rule in roles:
+                    store.add_derived(event, role, value, rule)
+
+
 def propagate_io(store: KnowledgeStore, kinds: dict[str, EventKind]):
-    """Copy IO relations up through first/last subevents to a fixpoint.
+    """Stage 6: copy IO relations up through first/last subevents to a
+    fixpoint.
 
     Input-side relations flow from the first subevent, output-side from
     the last; concrete slots are copied only when they are IO slots for
-    the parent's own kind.  Direct IO mapping runs between the copies, so
-    copied slots yield their abstract relations.
+    the parent's own kind.  Stage 5 (``derive_io_relations``) has run, so
+    only the copy steps start from the facts in the store.  An event's
+    direct IO step runs on the slots that copies add to it, so copied
+    slots yield their abstract relations.  Direct steps read only
+    IO-table slots and write only role slots, so in the first round they
+    would meet only the facts that stage 5 has mapped, in its order.
 
     The schedule is that of naive rounds.  A round is a sequence of steps:
     direct IO for each event in sorted order, then a copy from each first
@@ -347,7 +337,8 @@ def propagate_io(store: KnowledgeStore, kinds: dict[str, EventKind]):
         for slot in reads:
             readers[source, slot].append(position)
     pending: dict[int, list[Fact]] = {}  # step -> facts it has not attempted
-    for slot in {slot for _, slot in readers}:
+    first_copy = len(kinds)  # the direct steps come first
+    for slot in {slot for _, _, reads in steps[first_copy:] for slot in reads}:
         for fact in store.query(slot=slot):
             # Defaulted output locations live outside the propagation
             # fixpoint; copying them would make a completed store derive
@@ -355,7 +346,8 @@ def propagate_io(store: KnowledgeStore, kinds: dict[str, EventKind]):
             if fact.provenance.rule == DEFAULT_OUTPUT_RULE:
                 continue
             for reader in readers.get((fact.subject, slot), ()):
-                pending.setdefault(reader, []).append(fact)
+                if reader >= first_copy:
+                    pending.setdefault(reader, []).append(fact)
     queue = [(0, position) for position in sorted(pending)]
     while queue:
         round_, position = heapq.heappop(queue)

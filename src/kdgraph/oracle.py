@@ -775,9 +775,6 @@ def encode_program() -> RuleProgram:
         _rule("tcsub2", "tcsub", [Clause(_has("A", "tc_subevent", "B"),
                                          (_has("A", "subevent", "C"),
                                           _has("C", "tc_subevent", "B")))]),
-        _rule("tcsub3", "tcsub", [Clause(_has("A", "tc_subevent", "B"),
-                                         (_has("A", "tc_subevent", "C"),
-                                          _has("C", "tc_subevent", "B")))]),
     ]
 
     # --- joins ----------------------------------------------------------------------
@@ -852,7 +849,7 @@ def encode_program() -> RuleProgram:
         ["m4"],
         ["ma1", "ma2", "ma3", "ma4", "ma5", "ma6"],
         ["sma1", "sma2", "sma3", "sma4"],
-        ["tcsub1", "tcsub2", "tcsub3"],
+        ["tcsub1", "tcsub2"],
         ["j1", "j2", "j3"],
         ["n1", "n2", "n3", "n4", "n5"],
         ["n6"],

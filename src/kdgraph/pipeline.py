@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .derivation import (
-    IORelation,
     classify_event_kind,
     default_output_location,
     derive_first_last_subevents,
@@ -44,12 +43,11 @@ from .taxonomy import ClassHierarchy
 class PipelineResult:
     """What ``run_pipeline`` found, with the costly products built on read.
 
-    ``kdg`` (the typed graph of the derived store), ``io_relations``,
-    ``derived`` and ``chain_search`` (with ``chains``) are computed on
-    first read and then cached, so a command pays only for what it
-    prints.  They are computed from ``store``, ``hierarchy``, ``typing``
-    and ``chain_graph`` and describe the store as ``run_pipeline`` left
-    it: read them before changing it.
+    ``kdg`` (the typed graph of the derived store), ``derived`` and
+    ``chain_search`` (with ``chains``) are computed on first read and
+    then cached, so a command pays only for what it prints.  They are
+    computed from ``store``, ``typing`` and ``chain_graph`` and describe
+    the store as ``run_pipeline`` left it: read them before changing it.
     """
 
     store: KnowledgeStore
@@ -71,14 +69,6 @@ class PipelineResult:
         infer_event_typing), and ``run_pipeline`` has checked that they
         close no structural cycle."""
         return build_kdg(build_udg(self.store), self.typing)
-
-    @cached_property
-    def io_relations(self) -> list[IORelation]:
-        """The direct IO relations of every event.  ``propagate_io`` ran
-        every event's direct IO step to its fixpoint, so this adds no
-        fact to the store."""
-        kinds = classify_event_kind(self.store, self.hierarchy)
-        return derive_io_relations(self.store, kinds)
 
     @cached_property
     def derived(self) -> list[Fact]:
@@ -135,6 +125,7 @@ def run_pipeline(
     derive_next_events(store)
     derive_first_last_subevents(store, diagnostics)
     kinds = classify_event_kind(store, hierarchy)
+    derive_io_relations(store, kinds)
     propagate_io(store, kinds)
     default_output_location(store)
     # IO copied up from an asserted last_subevent can close a cycle.

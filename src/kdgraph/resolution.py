@@ -44,11 +44,6 @@ class Confidence(IntEnum):
         return Confidence[label.upper()]
 
 
-def min_confidence(a: Confidence, b: Confidence) -> Confidence:
-    """Lattice meet: the smaller of the two levels."""
-    return a if a <= b else b
-
-
 _Key = tuple[str, str, Confidence]
 _LEVELS = tuple(Confidence)
 

@@ -14,7 +14,7 @@ from kdgraph.graph import GraphCycleError, NodeKind, build_kdg, build_udg, roote
 from kdgraph.linking import synthesize_super_event
 from kdgraph.oracle import differential_check, encode_program
 from kdgraph.pipeline import run_pipeline
-from kdgraph.resolution import Confidence, min_confidence
+from kdgraph.resolution import Confidence
 from kdgraph.taxonomy import main_classes
 
 
@@ -239,17 +239,15 @@ def test_criterion_7_invariant_suites():
     # Lattice laws, exhaustive over the three levels.
     levels = list(Confidence)
     for a, b in itertools.product(levels, levels):
-        if min_confidence(a, b) is not min_confidence(b, a):
+        if min(a, b) is not min(b, a):
             violations.append("meet-commutativity")
-        if min_confidence(a, b) > a or min_confidence(a, b) > b:
+        if min(a, b) > a or min(a, b) > b:
             violations.append("meet-lower-bound")
     for a in levels:
-        if min_confidence(a, a) is not a:
+        if min(a, a) is not a:
             violations.append("meet-idempotence")
     for a, b, c in itertools.product(levels, levels, levels):
-        if min_confidence(a, min_confidence(b, c)) is not min_confidence(
-            min_confidence(a, b), c
-        ):
+        if min(a, min(b, c)) is not min(min(a, b), c):
             violations.append("meet-associativity")
 
     # First/last uniqueness on every single-chain shape up to length 6.

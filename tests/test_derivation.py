@@ -7,7 +7,6 @@ import pytest
 import kdgraph.pipeline
 from kdgraph.derivation import (
     EventKind,
-    IORelation,
     classify_event_kind,
     default_output_location,
     derive_first_last_subevents,
@@ -35,6 +34,10 @@ def _typing(text):
 
 def _derived(store):
     return {f.triple for f in store.derived_facts()}
+
+
+def _derived_rules(store):
+    return {f.triple: f.provenance.rule for f in store.derived_facts()}
 
 
 class TestTyping:
@@ -212,50 +215,51 @@ class TestDirectIO:
             "has(light_reaction, instance_of, event).\n"
             "has(light_reaction, raw_material, sunlight)."
         )
-        kinds = {"light_reaction": EventKind.OPERATIONAL}
-        relations = derive_io_relations(store, kinds)
-        assert (
-            IORelation("light_reaction", "input", "sunlight", "raw_material")
-            in relations
-        )
-        assert ("light_reaction", "input", "sunlight") in store
+        derive_io_relations(store, {"light_reaction": EventKind.OPERATIONAL})
+        assert _derived_rules(store) == {("light_reaction", "input", "sunlight"): "i3"}
 
     def test_transport_base_is_input_location(self):
         store = parse_fact_file("has(t, base, nucleus1).")
-        relations = derive_io_relations(store, {"t": EventKind.TRANSPORT})
-        roles = {(r.role, r.value) for r in relations}
-        assert roles == {("input_location", "nucleus1")}
-        assert ("t", "input_location", "nucleus1") in store
-        assert ("t", "input", "nucleus1") not in store
+        derive_io_relations(store, {"t": EventKind.TRANSPORT})
+        assert _derived_rules(store) == {("t", "input_location", "nucleus1"): "i8"}
 
     def test_no_table_slots_nothing_derived(self):
         store = parse_fact_file("has(e, agent, x).")
-        assert derive_io_relations(store, {"e": EventKind.OPERATIONAL}) == []
+        derive_io_relations(store, {"e": EventKind.OPERATIONAL})
+        assert _derived(store) == set()
 
     def test_relation_views_match_table(self, eukaryote_store):
+        """Each fact a direct IO rule derived maps one of the event's own
+        slots to the rule's role, and each slot the table names is mapped."""
+        transport, operational = EventKind.TRANSPORT, EventKind.OPERATIONAL
+        table = {
+            "i1": (operational, "object", "input"),
+            "i2": (operational, "base", "input"),
+            "i3": (operational, "raw_material", "input"),
+            "i4": (operational, "result", "output"),
+            "i5": (operational, "site", "input_location"),
+            "i24": (operational, "destination", "output_location"),
+            "i6": (transport, "object", "input"),
+            "i7": (transport, "object", "output"),
+            "i8": (transport, "base", "input_location"),
+            "i9": (transport, "origin", "input_location"),
+            "i10": (transport, "destination", "output_location"),
+        }
         result = run_pipeline(eukaryote_store)
-        kinds = classify_event_kind(result.store, result.hierarchy)
-        transport_roles = {
-            "object": {"input", "output"},
-            "base": {"input_location"},
-            "origin": {"input_location"},
-            "destination": {"output_location"},
-        }
-        operational_roles = {
-            "object": {"input"},
-            "base": {"input"},
-            "raw_material": {"input"},
-            "result": {"output"},
-            "site": {"input_location"},
-            "destination": {"output_location"},
-        }
-        for relation in result.io_relations:
-            table = (
-                transport_roles
-                if kinds[relation.event] is EventKind.TRANSPORT
-                else operational_roles
-            )
-            assert relation.role in table[relation.via_slot]
+        store = result.store
+        kinds = classify_event_kind(store, result.hierarchy)
+        direct = [f for f in store.derived_facts() if f.provenance.rule in table]
+        assert direct
+        for fact in direct:
+            kind, slot, role = table[fact.provenance.rule]
+            assert kinds[fact.subject] is kind
+            assert fact.slot == role
+            assert (fact.subject, slot, fact.value) in store
+        for event, event_kind in kinds.items():
+            for kind, slot, role in table.values():
+                if kind is event_kind:
+                    for value in store.values(event, slot):
+                        assert (event, role, value) in store
 
 
 class TestPropagation:
@@ -373,6 +377,19 @@ class TestStageAlgebra:
         assert second.store.triples() == snapshot
         assert second.derived == first.derived
 
+    def test_direct_io_runs_once_before_propagation(self, monkeypatch, photosynthesis_store):
+        calls = []
+        for name in ("derive_io_relations", "propagate_io"):
+            stage = getattr(kdgraph.pipeline, name)
+
+            def recording(*args, name=name, stage=stage):
+                calls.append(name)
+                return stage(*args)
+
+            monkeypatch.setattr(kdgraph.pipeline, name, recording)
+        run_pipeline(photosynthesis_store)
+        assert calls == ["derive_io_relations", "propagate_io"]
+
     def test_stages_only_add_facts(self, photosynthesis_store):
         store = photosynthesis_store
         sizes = [len(store)]
@@ -447,10 +464,10 @@ def _premise_store(name):
 
 
 class TestDirectIOAfterPropagation:
-    """``run_pipeline`` leaves ``io_relations`` unbuilt: ``propagate_io``
-    runs every event's direct IO step to its fixpoint, so the direct
-    relations add nothing to the store it leaves.  The golden inputs with
-    structural cycles stop before derivation and are left out."""
+    """Stages 5 and 6 are idempotent: running direct IO and then IO
+    propagation again over the store that ``run_pipeline`` left adds no
+    fact.  The golden inputs with structural cycles stop before
+    derivation and are left out."""
 
     @pytest.mark.parametrize(
         "name",
@@ -461,10 +478,12 @@ class TestDirectIOAfterPropagation:
     )
     def test_direct_io_adds_no_fact(self, name):
         result = run_pipeline(_premise_store(name))
-        before = result.store.facts()
-        relations = {(r.event, r.role, r.value) for r in result.io_relations}
-        assert relations <= {(f.subject, f.slot, f.value) for f in before}
-        assert result.store.facts() == before
+        store = result.store
+        before = store.facts()
+        kinds = classify_event_kind(store, result.hierarchy)
+        derive_io_relations(store, kinds)
+        propagate_io(store, kinds)
+        assert store.facts() == before
 
 
 class TestDeepChainProbes:

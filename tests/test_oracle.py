@@ -46,7 +46,7 @@ class TestProgramShape:
             "lc": 7,
             "ma": 6,
             "sma": 4,
-            "tcsub": 3,
+            "tcsub": 2,
             "j": 3,
             "n": 6,
         }

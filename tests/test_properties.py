@@ -10,7 +10,7 @@ from kdgraph.facts import Fact, KnowledgeStore, Provenance, parse_fact_file
 from kdgraph.fuzz import random_store
 from kdgraph.graph import SLOT_FAMILIES, build_udg, rooted_subgraph
 from kdgraph.pipeline import run_pipeline
-from kdgraph.resolution import Confidence, min_confidence
+from kdgraph.resolution import Confidence
 from kdgraph.taxonomy import main_classes
 
 # The language [a-z][a-z0-9_]{0,8}; st.from_regex draws it ~10x slower.
@@ -67,14 +67,12 @@ class TestLatticeProperties:
     def test_exhaustive_meet_laws(self):
         levels = list(Confidence)
         for a, b in itertools.product(levels, levels):
-            meet = min_confidence(a, b)
+            meet = min(a, b)
             assert meet in levels
             assert meet <= a and meet <= b
-            assert min_confidence(b, a) is meet
+            assert min(b, a) is meet
         for a, b, c in itertools.product(levels, levels, levels):
-            assert min_confidence(a, min_confidence(b, c)) is min_confidence(
-                min_confidence(a, b), c
-            )
+            assert min(a, min(b, c)) is min(min(a, b), c)
 
 
 class TestFuzzedPipelines:

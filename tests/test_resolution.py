@@ -7,13 +7,7 @@ from kdgraph import resolution
 from kdgraph.facts import parse_fact_file, parse_fact_path
 from kdgraph.fuzz import inside_chain_store, ladder_store
 from kdgraph.pipeline import run_pipeline
-from kdgraph.resolution import (
-    Confidence,
-    MatchSet,
-    match_instances,
-    min_confidence,
-    spatial_match,
-)
+from kdgraph.resolution import Confidence, MatchSet, match_instances, spatial_match
 from kdgraph.taxonomy import ClassHierarchy
 from tests.golden.capture import INPUTS, REPO, model_store
 
@@ -22,21 +16,19 @@ LEVELS = [Confidence.LOW, Confidence.MEDIUM, Confidence.HIGH]
 
 class TestConfidenceLattice:
     def test_meet_table(self):
-        assert min_confidence(Confidence.HIGH, Confidence.HIGH) is Confidence.HIGH
-        assert min_confidence(Confidence.HIGH, Confidence.LOW) is Confidence.LOW
-        assert min_confidence(Confidence.MEDIUM, Confidence.LOW) is Confidence.LOW
+        assert min(Confidence.HIGH, Confidence.HIGH) is Confidence.HIGH
+        assert min(Confidence.HIGH, Confidence.LOW) is Confidence.LOW
+        assert min(Confidence.MEDIUM, Confidence.LOW) is Confidence.LOW
 
     def test_commutative_and_idempotent(self):
         for a, b in itertools.product(LEVELS, LEVELS):
-            assert min_confidence(a, b) is min_confidence(b, a)
+            assert min(a, b) is min(b, a)
         for a in LEVELS:
-            assert min_confidence(a, a) is a
+            assert min(a, a) is a
 
     def test_associative(self):
         for a, b, c in itertools.product(LEVELS, LEVELS, LEVELS):
-            assert min_confidence(min_confidence(a, b), c) is min_confidence(
-                a, min_confidence(b, c)
-            )
+            assert min(min(a, b), c) is min(a, min(b, c))
 
     def test_total_order(self):
         assert Confidence.LOW < Confidence.MEDIUM < Confidence.HIGH
@@ -267,7 +259,7 @@ def _reference_closure(base: list, distinct: bool) -> dict:
     def emit(src, dst, mid, conf1, conf2):
         if distinct and (src == dst or src == mid or mid == dst):
             return
-        conf = min_confidence(conf1, conf2)
+        conf = min(conf1, conf2)
         if add(src, dst, conf, ("chain", mid, conf1, conf2)):
             queue.append((src, dst, conf))
 
